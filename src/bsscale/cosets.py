@@ -12,17 +12,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import BudgetError, InvariantError
-from .invariants import orbit_order, orbit_order_factorization
+from .invariants import orbit_order_factorization, orbit_order_syllables
 from .normal_forms import CosetId, coset_of, coset_word
 from .params import GroupParams
-from .words import (
-    Word,
-    as_power_of_a,
-    format_word,
-    invert_word,
-    reduce_syllables,
-    word_syllables,
-)
+from .words import Word, format_word, reduce_syllables, word_syllables
 
 DEFAULT_BUDGET = 200_000
 
@@ -125,11 +118,11 @@ def orbit_order_bruteforce(
     if d_max is None:
         d_max = default_scan_bound(p, w)
     we, ws = word_syllables(w)
-    ie, is_ = word_syllables(invert_word(w))
+    ie, is_ = _inverse(we, ws)
     signs = is_ + ws
+    head, mid, tail = ie[:-1], ie[-1] + we[0], we[1:]
     for d in range(1, d_max + 1):
-        exps = ie[:-1] + [ie[-1] + d + we[0]] + we[1:]
-        _, left = reduce_syllables(p, exps, signs)
+        _, left = reduce_syllables(p, head + [mid + d] + tail, signs)
         if not left:
             return d
     return None
@@ -144,19 +137,18 @@ def index_bruteforce(
     """
     if d_max is None:
         d_max = default_scan_bound(p, w, k)
-    pe, ps = _power_syllables(p, w, k)
-    ie, is_ = _power_syllables(p, invert_word(w), k)
+    pe, ps = _power_syllables(*word_syllables(w), k)
+    ie, is_ = _inverse(pe, ps)
     signs = ps + is_
+    head, mid, tail = pe[:-1], pe[-1] + ie[0], ie[1:]
     for e in range(1, d_max + 1):
-        exps = pe[:-1] + [pe[-1] + e + ie[0]] + ie[1:]
-        _, left = reduce_syllables(p, exps, signs)
+        _, left = reduce_syllables(p, head + [mid + e] + tail, signs)
         if not left:
             return e
     return None
 
 
-def _power_syllables(p: GroupParams, w: Word, k: int):
-    we, ws = word_syllables(w)
+def _power_syllables(we: list[int], ws: list[int], k: int):
     exps = list(we)
     signs = list(ws)
     for _ in range(k - 1):
@@ -166,10 +158,15 @@ def _power_syllables(p: GroupParams, w: Word, k: int):
     return exps, signs
 
 
+def _inverse(exps: list[int], signs: list[int]):
+    """Syllables of the inverse word: reversed, with every sign flipped."""
+    return [-e for e in reversed(exps)], [-s for s in reversed(signs)]
+
+
 def default_scan_bound(p: GroupParams, w: Word, k: int = 1) -> int:
     """Scan ceiling g * (l/|m|)^B * (l/|n|)^B with B the t-letter count of
     w^k; orbit and index values always sit below it."""
-    b = k * sum(1 for ch in w if ch in "tT")
+    b = k * (w.count("t") + w.count("T"))
     return p.g * p.l_over_m**b * p.l_over_n**b
 
 
@@ -178,16 +175,12 @@ def step_bruteforce(p: GroupParams, x: int, eps: int) -> int:
     scanning multiples of x through word reduction (no transition formula).
     """
     modulus = abs(p.n) if eps > 0 else abs(p.m)
-    left, right = ("T", "t") if eps > 0 else ("t", "T")
+    signs = [-1, 1] if eps > 0 else [1, -1]
     for c in range(1, modulus + 1):
-        val = as_power_of_a(p, left + _a_word(x * c) + right)
-        if val is not None:
-            return abs(val)
+        exps, left = reduce_syllables(p, [0, x * c, 0], signs)
+        if not left:
+            return abs(exps[0])
     raise InvariantError(f"no multiple of {x} up to {modulus} conjugates into <a>")
-
-
-def _a_word(e: int) -> Word:
-    return "a" * e if e >= 0 else "A" * (-e)
 
 
 def orbit_census(
@@ -201,8 +194,8 @@ def orbit_census(
     """
     table = enumerate_ball(p, radius, budget=budget)
     census: Counter[int] = Counter()
-    for v in range(len(table.vertices)):
-        d = orbit_order(p, table.vertex_word(v))
+    for cid in table.vertices:
+        d = orbit_order_syllables(p, [c for c, _ in cid] + [0], [s for _, s in cid])
         if orbit_order_factorization(p, d) is None:
             raise InvariantError(f"orbit order {d} outside the admissible shape")
         census[d] += 1

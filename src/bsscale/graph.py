@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError, NoPathError, NotANodeError
 from .params import GroupParams
-from .words import Word, check_traceable
+from .words import Word, check_traceable, word_syllables
 
 ROOT = "root"
 LEFT_RAY = "left_ray"
@@ -73,7 +73,7 @@ def step_h(p: GroupParams, x: int, eps: int, h: int) -> int:
 
 def path_labels(w: Word) -> list[int]:
     """The t letters of w, in order, as +-1 labels."""
-    return [1 if ch == "t" else -1 for ch in w if ch in "tT"]
+    return word_syllables(w)[1]
 
 
 def _fold(p: GroupParams, labels, start: int, h: int) -> int:
@@ -92,8 +92,7 @@ def trace(p: GroupParams, w: Word, start: int = 1, h: int = 1) -> int:
 
     Raises WordConditionError when w is not freely reduced or has a pinch.
     """
-    check_traceable(p, w)
-    return _fold(p, path_labels(w), start, h)
+    return _fold(p, check_traceable(p, w), start, h)
 
 
 def _pure_power(v: int, base: int) -> int | None:

@@ -121,7 +121,11 @@ def moller_sequence(p: GroupParams, w: Word, k_max: int) -> list[int]:
     """
     if p.discrete:
         return [1] * k_max
-    labels = path_labels(conjugacy_normalize(p, w))
+    return _index_sequence(p, conjugacy_normalize(p, w), k_max)
+
+
+def _index_sequence(p: GroupParams, z: Word, k_max: int) -> list[int]:
+    labels = path_labels(z)
     out = []
     x = 1
     for _ in range(k_max):
@@ -134,8 +138,8 @@ def moller_sequence(p: GroupParams, w: Word, k_max: int) -> list[int]:
 def moller_stabilization(p: GroupParams, w: Word, k_max: int) -> tuple[list[int], bool]:
     """The index sequence plus whether every ratio past the engineering
     bound 2N + 1 (N the t^-1 count of the normalized word) equals scale(w)."""
-    seq = moller_sequence(p, w, k_max)
     z = conjugacy_normalize(p, w)
+    seq = [1] * k_max if p.discrete else _index_sequence(p, z, k_max)
     bound = 2 * z.count("T") + 1
     target = scale(p, w).value
     ok = all(
@@ -153,7 +157,12 @@ def orbit_order(p: GroupParams, w: Word) -> int:
     is the trace of the reversed, sign-flipped t letters of the reduced
     word, starting from 1.
     """
-    _, signs = reduce_syllables(p, *word_syllables(w))
+    return orbit_order_syllables(p, *word_syllables(w))
+
+
+def orbit_order_syllables(p: GroupParams, exps: list[int], signs: list[int]) -> int:
+    """orbit_order of the word with syllables (exps, signs)."""
+    _, signs = reduce_syllables(p, exps, signs)
     x = 1
     for s in reversed(signs):
         x = step(p, x, -s)

@@ -94,24 +94,23 @@ def bs1n_normal_form(p: GroupParams, w: Word) -> tuple[int, int, int]:
     """Write w as t^(-neg) a^q t^(pos) with neg, pos >= 0 and n dividing q
     only if neg = 0 or pos = 0.  Requires |m| = 1.
 
-    Letters are absorbed left to right into the state (neg, q, pos) using
+    Syllables are absorbed left to right into the state (neg, q, pos) using
     t a^x = a^(x m n) t and a^x T = T a^(x m n), then inner pinches
     T a^(cn) t = a^(cm) are stripped.
     """
     _require_unit_m(p)
     mn = p.m * p.n
-    neg, q, pos = 0, 0, 0
-    for ch in w:
-        if ch == "a" or ch == "A":
-            q += (1 if ch == "a" else -1) * mn**pos
-        elif ch == "t":
+    exps, signs = word_syllables(w)
+    neg, q, pos = 0, exps[0], 0
+    for s, e in zip(signs, exps[1:]):
+        if s > 0:
             pos += 1
+        elif pos > 0:
+            pos -= 1
         else:
-            if pos > 0:
-                pos -= 1
-            else:
-                neg += 1
-                q *= mn
+            neg += 1
+            q *= mn
+        q += e * mn**pos
     while neg > 0 and pos > 0 and q % p.n == 0:
         q = (q // p.n) * p.m
         neg -= 1
@@ -151,14 +150,15 @@ def bs1n_matrix(p: GroupParams, w: Word) -> BS1nMatrix:
     homomorphism for |m| = 1.  (For m = 1 the t image is [[n,0],[0,1]]; the
     extra sign makes the relation hold for m = -1 as well.)"""
     _require_unit_m(p)
-    mn = Fraction(p.m * p.n)
-    gens = {
-        "a": BS1nMatrix(Fraction(1), Fraction(1)),
-        "A": BS1nMatrix(Fraction(1), Fraction(-1)),
-        "t": BS1nMatrix(mn, Fraction(0)),
-        "T": BS1nMatrix(1 / mn, Fraction(0)),
-    }
-    out = BS1nMatrix(Fraction(1), Fraction(0))
-    for ch in w:
-        out = out * gens[ch]
-    return out
+    mn = p.m * p.n
+    exps, signs = word_syllables(w)
+    # top_right = num / mn^den, each run a^e after prefix t-exponent k
+    # adding e mn^k; den grows when k first drops below -den
+    num, den, k = exps[0], 0, 0
+    for s, e in zip(signs, exps[1:]):
+        k += s
+        if k + den < 0:
+            num *= mn
+            den += 1
+        num += e * mn ** (k + den)
+    return BS1nMatrix(Fraction(mn) ** k, Fraction(num, mn**den))

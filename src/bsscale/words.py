@@ -8,9 +8,12 @@ replacing it by ``a^(cn)`` or ``a^(cm)`` respectively does not change the
 group element.  A freely reduced word with no pinches represents the
 identity only if it is empty, which decides the word problem.
 
-Heavy arithmetic is done on the run-length "syllable" form
-a^(e0) t^(s1) a^(e1) ... t^(sk) a^(ek), a pair of lists (exponents, signs),
-so exponents can grow as big integers without materializing letter runs.
+Letter strings are the boundary: public functions take and return them.
+Inside, a word is decoded once, by ``word_syllables``, into the run-length
+"syllable" form a^(e0) t^(s1) a^(e1) ... t^(sk) a^(ek), a pair of lists
+(exponents, signs), and every reduction works on that form.  The decoder
+reads letters with str methods, so Python steps once per t letter, not
+once per letter.
 """
 
 from __future__ import annotations
@@ -85,65 +88,66 @@ def format_word(w: Word) -> str:
     tokens space separated.  Inverse runs print as negative exponents
     (``TT`` becomes ``t^-2``).  The empty word prints as the empty string.
     """
-    tokens: list[str] = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        run = j - i
-        ch = w[i]
-        if run == 1:
-            tokens.append(ch)
-        elif ch in "aA":
-            tokens.append(f"a^{run if ch == 'a' else -run}")
-        else:
-            tokens.append(f"t^{run if ch == 't' else -run}")
-        i = j
-    return " ".join(tokens)
+    exps, signs = word_syllables(w)
+    if sum(map(abs, exps)) + len(signs) < len(w):  # an a run meets an A run
+        pieces = w.replace("aA", "a A").replace("Aa", "A a").split()
+        return " ".join(map(format_word, pieces))
+    tokens = [_power_token("a", exps[0])]
+    k = 0
+    while k < len(signs):
+        s, run = signs[k], 1
+        while k + run < len(signs) and signs[k + run] == s and not exps[k + run]:
+            run += 1
+        k += run
+        tokens += (_power_token("t", s * run), _power_token("a", exps[k]))
+    return " ".join(filter(None, tokens))
+
+
+def _power_token(letter: str, e: int) -> str:
+    if e == 1:
+        return letter
+    if e == -1:
+        return letter.upper()
+    return f"{letter}^{e}" if e else ""
 
 
 def free_reduce(w: Word) -> Word:
     """Remove adjacent inverse pairs until none remain (free group
     reduction over {a, t}).  Idempotent."""
-    stack: list[str] = []
-    for ch in w:
-        if stack and stack[-1] == ch.translate(_INVERT):
-            stack.pop()
-        else:
-            stack.append(ch)
-    return "".join(stack)
+    return syllables_to_word(*free_reduce_syllables(*word_syllables(w)))
 
 
 def is_freely_reduced(w: Word) -> bool:
-    return all(w[i + 1] != w[i].translate(_INVERT) for i in range(len(w) - 1))
+    return not ("aA" in w or "Aa" in w or "tT" in w or "Tt" in w)
 
 
 # ---------------------------------------------------------------------------
 # Syllable form.
+
+_T_LETTERS = str.maketrans("", "", "aA")
 
 
 def word_syllables(w: Word) -> tuple[list[int], list[int]]:
     """Run-length form: lists (exps, signs) with len(exps) = len(signs) + 1,
     meaning a^exps[0] t^signs[0] a^exps[1] ... t^signs[-1] a^exps[-1].
     Adjacent a/A letters merge, so the form is free-reduced in the a runs.
+
+    Letters are read by str methods that copy only the t letters; Python
+    steps once per t letter.  Raises ParseError at the first letter outside
+    ``a A t T``.
     """
-    exps = [0]
-    signs: list[int] = []
-    for ch in w:
-        if ch == "a":
-            exps[-1] += 1
-        elif ch == "A":
-            exps[-1] -= 1
-        elif ch == "t":
-            signs.append(1)
-            exps.append(0)
-        elif ch == "T":
-            signs.append(-1)
-            exps.append(0)
-        else:
-            raise ParseError(f"invalid letter {ch!r}", w.index(ch))
-    return exps, signs
+    t_letters = w.translate(_T_LETTERS)
+    if t_letters.strip("tT"):
+        bad = len(w) - len(w.lstrip("aAtT"))
+        raise ParseError(f"invalid letter {w[bad]!r}", bad)
+    exps = []
+    start = 0
+    for c in t_letters:
+        pos = w.find(c, start)
+        exps.append(pos - start - 2 * w.count("A", start, pos))
+        start = pos + 1
+    exps.append(len(w) - start - 2 * w.count("A", start))
+    return exps, [1 if c == "t" else -1 for c in t_letters]
 
 
 def syllables_to_word(exps: list[int], signs: list[int]) -> Word:
@@ -153,6 +157,24 @@ def syllables_to_word(exps: list[int], signs: list[int]) -> Word:
         if k < len(signs):
             parts.append("t" if signs[k] > 0 else "T")
     return "".join(parts)
+
+
+def free_reduce_syllables(
+    exps: list[int], signs: list[int]
+) -> tuple[list[int], list[int]]:
+    """Free reduction in syllable form: cancel each t^s a^0 t^-s, merging
+    the a runs around it, left to right with a stack."""
+    out_e = [exps[0]]
+    out_s: list[int] = []
+    for k, s in enumerate(signs, 1):
+        if out_s and out_s[-1] != s and not out_e[-1]:
+            out_s.pop()
+            out_e.pop()
+            out_e[-1] += exps[k]
+        else:
+            out_s.append(s)
+            out_e.append(exps[k])
+    return out_e, out_s
 
 
 def reduce_syllables(
@@ -167,21 +189,18 @@ def reduce_syllables(
     m, n = p.m, p.n
     out_e = [exps[0]]
     out_s: list[int] = []
-    for k, s in enumerate(signs):
-        e_after = exps[k + 1]
-        if out_s and out_s[-1] == 1 and s == -1 and out_e[-1] % m == 0:
-            repl = (out_e[-1] // m) * n
-            out_e.pop()
-            out_s.pop()
-            out_e[-1] += repl + e_after
-        elif out_s and out_s[-1] == -1 and s == 1 and out_e[-1] % n == 0:
-            repl = (out_e[-1] // n) * m
-            out_e.pop()
-            out_s.pop()
-            out_e[-1] += repl + e_after
-        else:
+    last = 0  # out_s[-1], or 0 when out_s is empty
+    for k, s in enumerate(signs, 1):
+        # a pinch is t a^top T with m | top, or T a^top t with n | top
+        if last != -s or out_e[-1] % (m if s < 0 else n):
             out_s.append(s)
-            out_e.append(e_after)
+            out_e.append(exps[k])
+            last = s
+        else:
+            top = out_e.pop()
+            out_s.pop()
+            out_e[-1] += (top // m * n if s < 0 else top // n * m) + exps[k]
+            last = out_s[-1] if out_s else 0
     return out_e, out_s
 
 
@@ -201,12 +220,15 @@ def is_pinch_free(p: GroupParams, w: Word) -> bool:
     return syllables_pinch_free(p, exps, signs)
 
 
-def check_traceable(p: GroupParams, w: Word) -> None:
-    """Raise unless w is freely reduced and pinch-free."""
+def check_traceable(p: GroupParams, w: Word) -> list[int]:
+    """Raise unless w is freely reduced and pinch-free; return the signs of
+    its t letters."""
+    exps, signs = word_syllables(w)
     if not is_freely_reduced(w):
         raise WordConditionError(f"word {format_word(w)!r} is not freely reduced")
-    if not is_pinch_free(p, w):
+    if not syllables_pinch_free(p, exps, signs):
         raise WordConditionError(f"word {format_word(w)!r} contains a pinch")
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -240,43 +262,6 @@ def equal_elements(p: GroupParams, w: Word, u: Word) -> bool:
 # Conjugacy normalization.
 
 
-def _signed_run(run: str) -> int:
-    return len(run) if (not run or run[0] == "a") else -len(run)
-
-
-def _leading_a_run(w: Word) -> int:
-    i = 0
-    while i < len(w) and w[i] in "aA":
-        i += 1
-    return i
-
-
-def _trailing_a_run(w: Word) -> int:
-    i = len(w)
-    while i > 0 and w[i - 1] in "aA":
-        i -= 1
-    return i
-
-
-def _a_power(e: int) -> Word:
-    return "a" * e if e >= 0 else "A" * (-e)
-
-
-def _find_pinch(p: GroupParams, w: Word):
-    """Leftmost pinch as (start, end, replacement word), or None."""
-    exps, signs = word_syllables(w)
-    pos = abs(exps[0])
-    for k in range(len(signs) - 1):
-        mid = exps[k + 1]
-        span = 1 + abs(mid) + 1
-        if signs[k] == 1 and signs[k + 1] == -1 and mid % p.m == 0:
-            return pos, pos + span, _a_power((mid // p.m) * p.n)
-        if signs[k] == -1 and signs[k + 1] == 1 and mid % p.n == 0:
-            return pos, pos + span, _a_power((mid // p.n) * p.m)
-        pos += 1 + abs(mid)
-    return None
-
-
 def conjugacy_normalize_with_certificate(
     p: GroupParams, w: Word
 ) -> tuple[Word, Word]:
@@ -285,52 +270,58 @@ def conjugacy_normalize_with_certificate(
 
     Four moves are applied greedily in a fixed order, restarting after each:
     (1) cancel a free inverse pair, (2) strip a conjugating first/last letter
-    pair, (3) remove a pinch, (4) when the square (but not the word itself)
-    has a pinch straddling the wrap boundary, conjugate it away.  Each move
-    strictly decreases (t-letter count, length) lexicographically.
+    pair, (3) remove the leftmost pinch, (4) when the square (but not the
+    word itself) has a pinch straddling the wrap boundary, conjugate it away.
+    Each move strictly decreases (t-letter count, length) lexicographically.
+
+    The moves act on syllables.  Free reduction is completed once up front.
+    Later, a free pair can only appear inside the word, where a pinch left an
+    empty a run between opposite t letters; that pair is a pinch with c = 0,
+    the leftmost one, and no strip applies first because the ends did not
+    change.  The pinch search resumes one syllable left of the last change,
+    so the scan is amortized linear in the number of syllables.
     """
-    y = w
+    m, n = p.m, p.n
+    exps, signs = free_reduce_syllables(*word_syllables(w))
     h: list[str] = []
+    k = 0  # no pinch sits on a sign pair (j, j + 1) with j < k
     while True:
-        # move 1: free cancellation, leftmost pair
-        red = next(
-            (i for i in range(len(y) - 1) if y[i + 1] == y[i].translate(_INVERT)),
-            None,
-        )
-        if red is not None:
-            y = y[:red] + y[red + 2 :]
-            continue
-        # move 2: y = c z c^-1 for a single letter c
-        if len(y) >= 2 and y[-1] == y[0].translate(_INVERT):
-            h.append(y[0])
-            y = y[1:-1]
-            continue
-        # move 3: remove a pinch inside y
-        hit = _find_pinch(p, y)
-        if hit is not None:
-            start, end, repl = hit
-            y = y[:start] + repl + y[end:]
-            continue
-        # move 4: pinch straddling the boundary of y y
-        lead = _leading_a_run(y)
-        trail = _trailing_a_run(y)
-        if lead < trail:  # at least one t letter
-            first_sign = 1 if y[lead] == "t" else -1
-            last_sign = 1 if y[trail - 1] == "t" else -1
-            i = _signed_run(y[:lead])
-            j = _signed_run(y[trail:])
-            core = y[lead + 1 : trail - 1]
-            if first_sign == -1 and last_sign == 1 and (i + j) % p.m == 0:
-                # y = a^i T v t a^j; conjugate by (t a^-i)^-1 to get v a^(kn)
-                y = core + _a_power(((i + j) // p.m) * p.n)
-                h.append(_a_power(i) + "T")
-                continue
-            if first_sign == 1 and last_sign == -1 and (i + j) % p.n == 0:
-                # y = a^i t v T a^j; conjugate by (T a^-i)^-1 to get v a^(km)
-                y = core + _a_power(((i + j) // p.n) * p.m)
-                h.append(_a_power(i) + "t")
-                continue
-        return y, "".join(h)
+        # move 2: y = c z c^-1, a whole run of such letters c at once
+        while signs:
+            first, last = exps[0], exps[-1]
+            if first * last < 0:
+                c = first if abs(first) < abs(last) else -last
+                h.append("a" * c + "A" * -c)
+                exps[0] -= c
+                exps[-1] += c
+            elif first == last == 0 and len(signs) > 1 and signs[0] != signs[-1]:
+                h.append("t" if signs[0] > 0 else "T")
+                del exps[0], exps[-1], signs[0], signs[-1]
+                k = max(k - 1, 0)
+            else:
+                break
+        # move 3: the leftmost pinch, t a^(cm) T or T a^(cn) t
+        while k < len(signs) - 1:
+            s = signs[k]
+            if s != signs[k + 1] and exps[k + 1] % (m if s > 0 else n) == 0:
+                break
+            k += 1
+        else:
+            # move 4: y = a^i T v t a^j with m | i + j becomes v a^((i+j)n/m)
+            # after conjugating by a^i T (likewise with t and T swapped)
+            if len(signs) > 1 and signs[0] != signs[-1]:
+                i, j = exps[0], exps[-1]
+                d, r = (m, n) if signs[0] < 0 else (n, m)
+                if (i + j) % d == 0:
+                    h.append("a" * i + "A" * -i + ("t" if signs[0] > 0 else "T"))
+                    del exps[0], exps[-1], signs[0], signs[-1]
+                    exps[-1] += (i + j) // d * r
+                    continue  # the interior kept its pairs, so no pinch arose
+            return syllables_to_word(exps, signs), "".join(h)
+        mid = exps[k + 1]
+        exps[k] += (mid // m * n if s > 0 else mid // n * m) + exps[k + 2]
+        del signs[k : k + 2], exps[k + 1 : k + 3]
+        k = max(k - 1, 0)
 
 
 def conjugacy_normalize(p: GroupParams, w: Word) -> Word:

@@ -1,6 +1,6 @@
 """Conjugacy normalization: pinch-free squares with a conjugator certificate."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsscale import (
@@ -14,6 +14,7 @@ from bsscale import (
     parse_word,
     t_exponent,
 )
+from bsscale.words import word_syllables
 
 P23 = GroupParams(2, 3)
 
@@ -70,3 +71,105 @@ def test_all_powers_pinch_free(p, w):
         zk = z * k
         assert is_freely_reduced(zk)
         assert is_pinch_free(p, zk)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the greedy letter-string normalizer that restarts its scan after
+# every move (quadratic).  The syllable normalizer must return the identical
+# (z, h), conjugator letters included.
+
+_INVERT = str.maketrans("aAtT", "AaTt")
+
+
+def _signed_run(run):
+    return len(run) if (not run or run[0] == "a") else -len(run)
+
+
+def _leading_a_run(w):
+    i = 0
+    while i < len(w) and w[i] in "aA":
+        i += 1
+    return i
+
+
+def _trailing_a_run(w):
+    i = len(w)
+    while i > 0 and w[i - 1] in "aA":
+        i -= 1
+    return i
+
+
+def _a_power(e):
+    return "a" * e if e >= 0 else "A" * (-e)
+
+
+def _find_pinch(p, w):
+    exps, signs = word_syllables(w)
+    pos = abs(exps[0])
+    for k in range(len(signs) - 1):
+        mid = exps[k + 1]
+        span = 1 + abs(mid) + 1
+        if signs[k] == 1 and signs[k + 1] == -1 and mid % p.m == 0:
+            return pos, pos + span, _a_power((mid // p.m) * p.n)
+        if signs[k] == -1 and signs[k + 1] == 1 and mid % p.n == 0:
+            return pos, pos + span, _a_power((mid // p.n) * p.m)
+        pos += 1 + abs(mid)
+    return None
+
+
+def greedy_normalize(p, w):
+    y = w
+    h = []
+    while True:
+        red = next(
+            (i for i in range(len(y) - 1) if y[i + 1] == y[i].translate(_INVERT)),
+            None,
+        )
+        if red is not None:
+            y = y[:red] + y[red + 2 :]
+            continue
+        if len(y) >= 2 and y[-1] == y[0].translate(_INVERT):
+            h.append(y[0])
+            y = y[1:-1]
+            continue
+        hit = _find_pinch(p, y)
+        if hit is not None:
+            start, end, repl = hit
+            y = y[:start] + repl + y[end:]
+            continue
+        lead = _leading_a_run(y)
+        trail = _trailing_a_run(y)
+        if lead < trail:
+            first_sign = 1 if y[lead] == "t" else -1
+            last_sign = 1 if y[trail - 1] == "t" else -1
+            i = _signed_run(y[:lead])
+            j = _signed_run(y[trail:])
+            core = y[lead + 1 : trail - 1]
+            if first_sign == -1 and last_sign == 1 and (i + j) % p.m == 0:
+                y = core + _a_power(((i + j) // p.m) * p.n)
+                h.append(_a_power(i) + "T")
+                continue
+            if first_sign == 1 and last_sign == -1 and (i + j) % p.n == 0:
+                y = core + _a_power(((i + j) // p.n) * p.m)
+                h.append(_a_power(i) + "t")
+                continue
+        return y, "".join(h)
+
+
+all_groups = st.sampled_from(
+    [P23, GroupParams(2, 4), GroupParams(4, 6), GroupParams(2, -3), GroupParams(3, 3),
+     GroupParams(1, 3), GroupParams(-1, 2), GroupParams(3, -5)]
+)
+# runs of one letter make pinches and conjugating ends likely
+run_words = st.lists(
+    st.tuples(st.sampled_from("aAtT"), st.integers(1, 6)), max_size=20
+).map(lambda runs: "".join(ch * k for ch, k in runs)[:60])
+
+
+@given(all_groups, st.one_of(st.text(alphabet="aAtT", max_size=60), run_words))
+@example(P23, "atataaTT")
+@example(GroupParams(1, 3), "TaaatAAA")
+@example(GroupParams(3, -5), "taaTtaaT")
+@settings(max_examples=600, deadline=None)
+def test_matches_greedy_reference(p, w):
+    assert conjugacy_normalize_with_certificate(p, w) == greedy_normalize(p, w)

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractions import Fraction
+
 from bsscale import (
+    BS1nMatrix,
     DomainError,
     GroupParams,
     bs1n_matrix,
@@ -19,6 +22,9 @@ P23 = GroupParams(2, 3)
 P12 = GroupParams(1, 2)
 
 words = st.text(alphabet="aAtT", max_size=12)
+run_words = st.lists(
+    st.tuples(st.sampled_from("aAtT"), st.integers(1, 300)), max_size=10
+).map(lambda runs: "".join(ch * k for ch, k in runs))
 groups = st.sampled_from(
     [P23, GroupParams(2, 4), GroupParams(4, 6), GroupParams(2, -3),
      GroupParams(-2, 3), GroupParams(3, 3)]
@@ -127,3 +133,23 @@ class TestBS1nMatrix:
     @settings(max_examples=200)
     def test_equality_oracle(self, p, w, u):
         assert (bs1n_matrix(p, w) == bs1n_matrix(p, u)) == equal_elements(p, w, u)
+
+    @given(unit_groups, st.one_of(words, run_words))
+    @settings(max_examples=100)
+    def test_matches_letter_product(self, p, w):
+        assert bs1n_matrix(p, w) == letter_product(p, w)
+
+
+def letter_product(p, w):
+    """Reference: one Fraction matrix product per letter."""
+    mn = Fraction(p.m * p.n)
+    gens = {
+        "a": BS1nMatrix(Fraction(1), Fraction(1)),
+        "A": BS1nMatrix(Fraction(1), Fraction(-1)),
+        "t": BS1nMatrix(mn, Fraction(0)),
+        "T": BS1nMatrix(1 / mn, Fraction(0)),
+    }
+    out = BS1nMatrix(Fraction(1), Fraction(0))
+    for ch in w:
+        out = out * gens[ch]
+    return out

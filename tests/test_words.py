@@ -9,6 +9,8 @@ from bsscale import (
     ParseError,
     as_power_of_a,
     britton_reduce,
+    bs1n_matrix,
+    bs1n_normal_form,
     equal_elements,
     format_word,
     free_reduce,
@@ -18,12 +20,17 @@ from bsscale import (
     parse_word,
     t_exponent,
 )
+from bsscale.words import word_syllables
 
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
 P2m3 = GroupParams(2, -3)
 
 words = st.text(alphabet="aAtT", max_size=12)
+# words made of letter runs, some thousands of letters long
+run_words = st.lists(
+    st.tuples(st.sampled_from("aAtT"), st.integers(1, 3000)), max_size=12
+).map(lambda runs: "".join(ch * k for ch, k in runs))
 groups = st.sampled_from(
     [P23, GroupParams(3, 2), P24, GroupParams(4, 6), P2m3, GroupParams(-2, 3),
      GroupParams(3, 3), GroupParams(3, -3)]
@@ -57,6 +64,23 @@ class TestParse:
     def test_errors_carry_offset(self, text, offset):
         with pytest.raises(ParseError) as exc:
             parse_word(text)
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "fn,w,offset",
+        [
+            (format_word, "xx", 0),
+            (format_word, "aAt b", 3),
+            (free_reduce, "aaaaTtX", 6),
+            (word_syllables, "ta" * 500 + "?", 1000),
+            (lambda w: bs1n_normal_form(GroupParams(1, 3), w), "x", 0),
+            (lambda w: bs1n_matrix(GroupParams(1, 3), w), "x", 0),
+            (lambda w: britton_reduce(P23, w), "taT1", 3),
+        ],
+    )
+    def test_invalid_letters_carry_offset(self, fn, w, offset):
+        with pytest.raises(ParseError) as exc:
+            fn(w)
         assert exc.value.offset == offset
 
     def test_format_round_trip(self):
@@ -160,3 +184,79 @@ class TestTExponent:
 
     def test_negative(self):
         assert t_exponent("TTT") == -3
+
+
+# ---------------------------------------------------------------------------
+# References: the per-letter loops the str-method decoder replaced.
+
+_INVERT = str.maketrans("aAtT", "AaTt")
+
+
+def letter_syllables(w):
+    exps = [0]
+    signs = []
+    for ch in w:
+        if ch == "a":
+            exps[-1] += 1
+        elif ch == "A":
+            exps[-1] -= 1
+        elif ch == "t":
+            signs.append(1)
+            exps.append(0)
+        elif ch == "T":
+            signs.append(-1)
+            exps.append(0)
+        else:
+            raise ParseError(f"invalid letter {ch!r}", w.index(ch))
+    return exps, signs
+
+
+def letter_format(w):
+    tokens = []
+    i = 0
+    while i < len(w):
+        j = i
+        while j < len(w) and w[j] == w[i]:
+            j += 1
+        run = j - i
+        ch = w[i]
+        if run == 1:
+            tokens.append(ch)
+        elif ch in "aA":
+            tokens.append(f"a^{run if ch == 'a' else -run}")
+        else:
+            tokens.append(f"t^{run if ch == 't' else -run}")
+        i = j
+    return " ".join(tokens)
+
+
+def letter_freely_reduced(w):
+    return all(w[i + 1] != w[i].translate(_INVERT) for i in range(len(w) - 1))
+
+
+class TestAgainstLetterLoops:
+    @given(st.one_of(words, run_words))
+    @settings(max_examples=300)
+    def test_syllables(self, w):
+        assert word_syllables(w) == letter_syllables(w)
+
+    @given(st.one_of(words, run_words))
+    @settings(max_examples=300)
+    def test_format(self, w):
+        assert format_word(w) == letter_format(w)
+
+    @given(st.one_of(words, run_words))
+    @settings(max_examples=300)
+    def test_freely_reduced(self, w):
+        assert is_freely_reduced(w) == letter_freely_reduced(w)
+
+    @given(st.text(alphabet="aAtTx ", max_size=12))
+    def test_same_error_offset(self, w):
+        try:
+            want = letter_syllables(w)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                word_syllables(w)
+            assert got.value.offset == exc.offset
+        else:
+            assert word_syllables(w) == want
