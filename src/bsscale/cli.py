@@ -2,18 +2,17 @@
 
 Every command is parameterized by a global ``--group m,n`` flag and writes
 deterministic text (default) or JSON to stdout; diagnostics and notices go
-to stderr.  Exit codes: 0 success, 1 usage error, 2 word parse error,
-3 domain error (bad parameters, size budget, graph queries outside their
-domain), 4 selfcheck failure.
+to stderr.  Exit codes: 0 success, 1 usage error (including an unwritable
+``--dot`` path), 2 word parse error (including an exponent too large to
+expand), 3 domain error (bad parameters, size budget, graph queries
+outside their domain), 4 selfcheck failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import cosets, graph, invariants, selfcheck
 from .errors import (
     BudgetError,
     DomainError,
@@ -22,9 +21,11 @@ from .errors import (
     ParseError,
     WordConditionError,
 )
-from .normal_forms import bs1n_matrix, bs1n_normal_form, element_normal_form
-from .params import GroupParams
+from .params import DEFAULT_BUDGET, GroupParams
 from .words import britton_reduce, equal_elements, format_word, parse_word, t_exponent
+
+# Only the modules above load at start-up: each command handler imports
+# the modules it calls, so a process pays for what its command uses.
 
 _USAGE_EXIT = 1
 _PARSE_EXIT = 2
@@ -41,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def nonnegative(text: str) -> int:
+    """argparse type for sizes (radius, levels): an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="bsscale", description=__doc__)
     top.add_argument("--group", metavar="M,N", help="group parameters, e.g. 2,3")
@@ -48,7 +57,7 @@ def _build_parser() -> _Parser:
     top.add_argument(
         "--budget",
         type=int,
-        default=cosets.DEFAULT_BUDGET,
+        default=DEFAULT_BUDGET,
         help="vertex budget for tree balls",
     )
     sub = top.add_subparsers(dest="command", required=True)
@@ -73,7 +82,7 @@ def _build_parser() -> _Parser:
     p_tr.add_argument("--start", type=int, default=1)
     p_tr.add_argument("--h", type=int, default=1)
     p_tr.add_argument("word")
-    cmd("omega-edges").add_argument("--levels", type=int, default=3)
+    cmd("omega-edges").add_argument("--levels", type=nonnegative, default=3)
     p_od = cmd("omega-dist")
     p_od.add_argument("x", type=int)
     p_od.add_argument("y", type=int)
@@ -82,14 +91,26 @@ def _build_parser() -> _Parser:
     p_ob.add_argument("--dmax", type=int, default=None)
     p_ob.add_argument("word")
     p_ball = cmd("ball")
-    p_ball.add_argument("--radius", type=int, required=True)
+    p_ball.add_argument("--radius", type=nonnegative, required=True)
     p_ball.add_argument("--dot", metavar="PATH", default=None)
-    cmd("census").add_argument("--radius", type=int, required=True)
+    cmd("census").add_argument("--radius", type=nonnegative, required=True)
     cmd("structure").add_argument("word", nargs="?", default=None)
     cmd("matrix").add_argument("word")
     cmd("scale-set").add_argument("--rho-max", type=int, required=True)
     cmd("selfcheck").add_argument("--seed", type=int, default=0)
     return top
+
+
+def _glue_group(argv: list[str]) -> list[str]:
+    """argparse reads a value such as ``-1,2`` as an option, so
+    ``--group -1,2`` is passed on as ``--group=-1,2``."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--group" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--group={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _group(args) -> GroupParams:
@@ -105,18 +126,8 @@ def _group(args) -> GroupParams:
     return p
 
 
-# commands whose answers route through discrete / divisor-case logic
-_NOTICE_COMMANDS = frozenset(
-    {
-        "scale", "modular", "flat-rank", "kernel", "moller", "trace",
-        "omega-edges", "omega-dist", "orbit", "orbit-brute", "census",
-        "structure", "scale-set",
-    }
-)
-
-
 def _notice(p: GroupParams, args, err) -> None:
-    if args.output != "text" or args.command not in _NOTICE_COMMANDS:
+    if args.output != "text":
         return
     if p.discrete:
         print(f"notice: |m| = |n| = {abs(p.m)}: the completion is discrete", file=err)
@@ -130,9 +141,10 @@ def _notice(p: GroupParams, args, err) -> None:
 
 def _emit(args, out, text: str, payload: dict) -> None:
     if args.output == "json":
-        print(json.dumps(payload), file=out)
-    else:
-        print(text, file=out)
+        import json
+
+        text = json.dumps(payload)
+    print(text, file=out)
 
 
 def _word_or_e(w: str) -> str:
@@ -145,7 +157,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_group(argv))
         return _dispatch(args, out, err)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
@@ -161,185 +173,247 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 
 def _dispatch(args, out, err) -> int:
-    cmd = args.command
-    if cmd == "selfcheck":
-        results = selfcheck.run_all(args.seed)
-        failures = sum(1 for _, ok, _ in results if not ok)
-        if args.output == "json":
-            payload = {
-                "results": [
-                    {"name": name, "ok": ok, "detail": detail}
-                    for name, ok, detail in results
-                ],
-                "failures": failures,
-            }
-            print(json.dumps(payload), file=out)
-        else:
-            for name, ok, detail in results:
-                print(f"{'ok' if ok else 'FAIL'}: {name} ({detail})", file=out)
-            print(f"{len(results) - failures}/{len(results)} suites passed", file=out)
-        return _SELFCHECK_EXIT if failures else 0
+    handler, notice = _COMMANDS[args.command]
+    p = None if args.command == "selfcheck" else _group(args)
+    if notice:
+        _notice(p, args, err)
+    text, payload = handler(p, args)
+    _emit(args, out, text, payload)
+    return _SELFCHECK_EXIT if payload.get("failures") else 0  # selfcheck only
 
-    p = _group(args)
-    _notice(p, args, err)
 
-    if cmd == "reduce":
-        w = britton_reduce(p, parse_word(args.word))
-        _emit(args, out, _word_or_e(w), {"word": format_word(w)})
-    elif cmd == "nf":
-        nf = element_normal_form(p, parse_word(args.word))
-        _emit(
-            args,
-            out,
-            _word_or_e(nf.to_word()),
-            {
-                "syllables": [list(s) for s in nf.syllables],
-                "tail": nf.tail,
-                "word": format_word(nf.to_word()),
-            },
-        )
-    elif cmd == "rho":
-        rho = t_exponent(parse_word(args.word))
-        _emit(args, out, str(rho), {"rho": rho})
-    elif cmd == "equal":
-        res = equal_elements(p, parse_word(args.word), parse_word(args.other))
-        _emit(args, out, "true" if res else "false", {"equal": res})
-    elif cmd == "scale":
-        sv = invariants.scale(p, parse_word(args.word))
-        _emit(args, out, str(sv.value), sv.as_dict())
-    elif cmd == "modular":
-        mv = invariants.modular(p, parse_word(args.word))
-        _emit(args, out, f"{mv.numerator}/{mv.denominator}", mv.as_dict())
-    elif cmd == "flat-rank":
-        fr = invariants.flat_rank(p)
-        _emit(args, out, str(fr), {"flat_rank": fr})
-    elif cmd == "kernel":
-        k = invariants.pi_kernel(p)
-        _emit(args, out, str(k), {"kernel_exponent": k})
-    elif cmd == "moller":
-        if args.kmax < 1:
-            raise _UsageError("--kmax must be positive")
-        word = parse_word(args.word)
-        seq, stable = invariants.moller_stabilization(p, word, args.kmax)
-        target = invariants.scale(p, word).value
-        ratio = str(seq[-1] // seq[-2]) if len(seq) > 1 and seq[-2] and seq[-1] % seq[-2] == 0 else "?"
-        verdict = "OK" if stable else "DIAG ratios not stabilized at bound"
-        _emit(
-            args,
-            out,
-            f"{' '.join(str(v) for v in seq)} | ratio {ratio} | scale {target} {verdict}",
-            {
-                "indices": [str(v) for v in seq],
-                "ratio": ratio,
-                "scale": str(target),
-                "stable": stable,
-            },
-        )
-    elif cmd == "trace":
-        val = graph.trace(p, parse_word(args.word), start=args.start, h=args.h)
-        _emit(args, out, str(val), {"trace": str(val)})
-    elif cmd == "omega-edges":
-        nodes = []
-        for lv in range(args.levels + 1):
-            nodes.extend(graph.level_nodes(p, lv))
-        edge_rows = []
-        for nd in nodes:
-            for eps, target in graph.edges_from(p, nd.value):
-                edge_rows.append((nd.value, "t" if eps > 0 else "t^-1", target))
-        text = "\n".join(f"{x} {lab} {y}" for x, lab, y in edge_rows)
-        _emit(
-            args,
-            out,
-            text,
-            {
-                "nodes": [
-                    {
-                        "value": nd.value,
-                        "kind": nd.kind,
-                        "level": nd.level,
-                        "dist_left": nd.dist_left,
-                    }
-                    for nd in nodes
-                ],
-                "edges": [[x, lab, y] for x, lab, y in edge_rows],
-            },
-        )
-    elif cmd == "omega-dist":
-        d = graph.shortest_path_len(p, args.x, args.y)
-        _emit(args, out, str(d), {"distance": d})
-    elif cmd == "orbit":
-        val = invariants.orbit_order(p, parse_word(args.word))
-        _emit(args, out, str(val), {"orbit_order": str(val)})
-    elif cmd == "orbit-brute":
-        val = cosets.orbit_order_bruteforce(p, parse_word(args.word), args.dmax)
-        _emit(
-            args,
-            out,
-            "none" if val is None else str(val),
-            {"orbit_order": None if val is None else str(val)},
-        )
-    elif cmd == "ball":
-        table = cosets.enumerate_ball(p, args.radius, budget=args.budget)
-        if args.dot:
+# name -> (handler, notice).  A handler maps (GroupParams, args) to its
+# text and JSON outputs.  ``notice`` marks commands whose answers route
+# through discrete / divisor-case logic; text mode prints the case on stderr.
+_COMMANDS: dict[str, tuple] = {}
+
+
+def _command(name: str, notice: bool = False):
+    def register(handler):
+        _COMMANDS[name] = (handler, notice)
+        return handler
+
+    return register
+
+
+@_command("reduce")
+def _reduce(p, args):
+    w = britton_reduce(p, parse_word(args.word))
+    return _word_or_e(w), {"word": format_word(w)}
+
+
+@_command("nf")
+def _nf(p, args):
+    from .normal_forms import element_normal_form
+
+    nf = element_normal_form(p, parse_word(args.word))
+    w = nf.to_word()
+    return _word_or_e(w), {
+        "syllables": [list(s) for s in nf.syllables],
+        "tail": nf.tail,
+        "word": format_word(w),
+    }
+
+
+@_command("rho")
+def _rho(p, args):
+    rho = t_exponent(parse_word(args.word))
+    return str(rho), {"rho": rho}
+
+
+@_command("equal")
+def _equal(p, args):
+    res = equal_elements(p, parse_word(args.word), parse_word(args.other))
+    return "true" if res else "false", {"equal": res}
+
+
+@_command("scale", notice=True)
+def _scale(p, args):
+    from . import invariants
+
+    sv = invariants.scale(p, parse_word(args.word))
+    return str(sv.value), sv.as_dict()
+
+
+@_command("modular", notice=True)
+def _modular(p, args):
+    from . import invariants
+
+    mv = invariants.modular(p, parse_word(args.word))
+    return f"{mv.numerator}/{mv.denominator}", mv.as_dict()
+
+
+@_command("flat-rank", notice=True)
+def _flat_rank(p, args):
+    from . import invariants
+
+    fr = invariants.flat_rank(p)
+    return str(fr), {"flat_rank": fr}
+
+
+@_command("kernel", notice=True)
+def _kernel(p, args):
+    from . import invariants
+
+    k = invariants.pi_kernel(p)
+    return str(k), {"kernel_exponent": k}
+
+
+@_command("moller", notice=True)
+def _moller(p, args):
+    if args.kmax < 1:
+        raise _UsageError("--kmax must be positive")
+    from . import invariants
+
+    word = parse_word(args.word)
+    seq, stable = invariants.moller_stabilization(p, word, args.kmax)
+    target = invariants.scale(p, word).value
+    ratio = str(seq[-1] // seq[-2]) if len(seq) > 1 and seq[-2] and seq[-1] % seq[-2] == 0 else "?"
+    verdict = "OK" if stable else "DIAG ratios not stabilized at bound"
+    return f"{' '.join(str(v) for v in seq)} | ratio {ratio} | scale {target} {verdict}", {
+        "indices": [str(v) for v in seq],
+        "ratio": ratio,
+        "scale": str(target),
+        "stable": stable,
+    }
+
+
+@_command("trace", notice=True)
+def _trace(p, args):
+    from . import graph
+
+    val = graph.trace(p, parse_word(args.word), start=args.start, h=args.h)
+    return str(val), {"trace": str(val)}
+
+
+@_command("omega-edges", notice=True)
+def _omega_edges(p, args):
+    from . import graph
+
+    nodes = []
+    for lv in range(args.levels + 1):
+        nodes.extend(graph.level_nodes(p, lv))
+    edge_rows = []
+    for nd in nodes:
+        for eps, target in graph.edges_from(p, nd.value):
+            edge_rows.append((nd.value, "t" if eps > 0 else "t^-1", target))
+    return "\n".join(f"{x} {lab} {y}" for x, lab, y in edge_rows), {
+        "nodes": [
+            {"value": nd.value, "kind": nd.kind, "level": nd.level, "dist_left": nd.dist_left}
+            for nd in nodes
+        ],
+        "edges": [[x, lab, y] for x, lab, y in edge_rows],
+    }
+
+
+@_command("omega-dist", notice=True)
+def _omega_dist(p, args):
+    from . import graph
+
+    d = graph.shortest_path_len(p, args.x, args.y)
+    return str(d), {"distance": d}
+
+
+@_command("orbit", notice=True)
+def _orbit(p, args):
+    from . import invariants
+
+    val = invariants.orbit_order(p, parse_word(args.word))
+    return str(val), {"orbit_order": str(val)}
+
+
+@_command("orbit-brute", notice=True)
+def _orbit_brute(p, args):
+    from . import cosets
+
+    val = cosets.orbit_order_bruteforce(p, parse_word(args.word), args.dmax)
+    return "none" if val is None else str(val), {"orbit_order": None if val is None else str(val)}
+
+
+@_command("ball")
+def _ball(p, args):
+    from . import cosets
+
+    table = cosets.enumerate_ball(p, args.radius, budget=args.budget)
+    if args.dot:
+        try:
             with open(args.dot, "w") as fh:
                 fh.write(cosets.export_dot(table))
-        _emit(
-            args,
-            out,
-            f"vertices {len(table.vertices)} edges {len(table.edges)} "
-            f"boundary {len(table.boundary)}",
-            table.as_dict(),
-        )
-    elif cmd == "census":
-        census = cosets.orbit_census(p, args.radius, budget=args.budget)
-        pairs = sorted(census.items())
-        _emit(
-            args,
-            out,
-            " ".join(f"{order}:{count}" for order, count in pairs),
-            {"census": [[order, count] for order, count in pairs]},
-        )
-    elif cmd == "structure":
-        word = parse_word(args.word) if args.word is not None else None
-        rep = invariants.structure_report(p, word)
-        d = rep.as_dict()
-        text = "\n".join(
-            [
-                f"primes_vplus: {' '.join(map(str, rep.primes_vplus))}",
-                f"primes_vminus: {' '.join(map(str, rep.primes_vminus))}",
-                f"quotient_order_bound: {rep.quotient_order_bound}",
-                f"flat_rank: {rep.flat_rank}",
-                f"kernel_exponent: {rep.kernel_exponent}",
-                f"swap_applied: {str(rep.swap_applied).lower()}",
-                f"discrete: {str(rep.discrete).lower()}",
-                f"quasi_centre: {rep.quasi_centre}",
-            ]
-        )
-        _emit(args, out, text, d)
-    elif cmd == "matrix":
-        word = parse_word(args.word)
-        mat = bs1n_matrix(p, word)
-        neg, q, pos = bs1n_normal_form(p, word)
-        rows = [[str(mat.top_left), str(mat.top_right)], ["0", "1"]]
-        _emit(
-            args,
-            out,
-            f"[[{rows[0][0]}, {rows[0][1]}], [0, 1]] | t^-{neg} a^{q} t^{pos}",
-            {"matrix": rows, "p": neg, "q": q, "r": pos},
-        )
-    elif cmd == "scale-set":
-        if args.rho_max < 0:
-            raise _UsageError("--rho-max must be nonnegative")
-        values = sorted(invariants.scale_value_set(p, args.rho_max))
-        _emit(
-            args,
-            out,
-            " ".join(str(v) for v in values),
-            {"values": [str(v) for v in values]},
-        )
-    else:  # pragma: no cover - argparse enforces the choices
-        raise _UsageError(f"unknown command {cmd!r}")
-    return 0
+        except OSError as exc:
+            raise _UsageError(f"cannot write --dot file: {exc}") from None
+    text = f"vertices {len(table.vertices)} edges {len(table.edges)} boundary {len(table.boundary)}"
+    return text, table.as_dict()
+
+
+@_command("census", notice=True)
+def _census(p, args):
+    from . import cosets
+
+    pairs = sorted(cosets.orbit_census(p, args.radius, budget=args.budget).items())
+    return " ".join(f"{order}:{count}" for order, count in pairs), {
+        "census": [[order, count] for order, count in pairs]
+    }
+
+
+@_command("structure", notice=True)
+def _structure(p, args):
+    from . import invariants
+
+    word = parse_word(args.word) if args.word is not None else None
+    rep = invariants.structure_report(p, word)
+    text = "\n".join(
+        [
+            f"primes_vplus: {' '.join(map(str, rep.primes_vplus))}",
+            f"primes_vminus: {' '.join(map(str, rep.primes_vminus))}",
+            f"quotient_order_bound: {rep.quotient_order_bound}",
+            f"flat_rank: {rep.flat_rank}",
+            f"kernel_exponent: {rep.kernel_exponent}",
+            f"swap_applied: {str(rep.swap_applied).lower()}",
+            f"discrete: {str(rep.discrete).lower()}",
+            f"quasi_centre: {rep.quasi_centre}",
+        ]
+    )
+    return text, rep.as_dict()
+
+
+@_command("matrix")
+def _matrix(p, args):
+    from .normal_forms import bs1n_matrix, bs1n_normal_form
+
+    word = parse_word(args.word)
+    mat = bs1n_matrix(p, word)
+    neg, q, pos = bs1n_normal_form(p, word)
+    rows = [[str(mat.top_left), str(mat.top_right)], ["0", "1"]]
+    return f"[[{rows[0][0]}, {rows[0][1]}], [0, 1]] | t^-{neg} a^{q} t^{pos}", {
+        "matrix": rows,
+        "p": neg,
+        "q": q,
+        "r": pos,
+    }
+
+
+@_command("scale-set", notice=True)
+def _scale_set(p, args):
+    if args.rho_max < 0:
+        raise _UsageError("--rho-max must be nonnegative")
+    from . import invariants
+
+    values = sorted(invariants.scale_value_set(p, args.rho_max))
+    return " ".join(str(v) for v in values), {"values": [str(v) for v in values]}
+
+
+@_command("selfcheck")
+def _selfcheck(p, args):
+    from . import selfcheck
+
+    results = selfcheck.run_all(args.seed)
+    failures = sum(1 for _, ok, _ in results if not ok)
+    lines = [f"{'ok' if ok else 'FAIL'}: {name} ({detail})" for name, ok, detail in results]
+    lines.append(f"{len(results) - failures}/{len(results)} suites passed")
+    return "\n".join(lines), {
+        "results": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results],
+        "failures": failures,
+    }
 
 
 def main() -> None:

@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 from .errors import BudgetError, InvariantError
 from .invariants import orbit_order_factorization, orbit_order_syllables
 from .normal_forms import CosetId, coset_of, coset_word
-from .params import GroupParams
+from .params import DEFAULT_BUDGET, GroupParams
 from .words import Word, format_word, reduce_syllables, word_syllables
-
-DEFAULT_BUDGET = 200_000
 
 
 @dataclass

@@ -58,7 +58,7 @@ class TraceGeometry:
 def step(p: GroupParams, x: int, eps: int) -> int:
     """Exponent of t^(-eps) <a^x> t^(eps) intersect <a>."""
     if x < 1:
-        raise ValueError(f"node value must be positive, got {x}")
+        raise NotANodeError(f"node value must be positive, got {x}")
     if eps > 0:
         return abs(p.m) * x // math.gcd(x, abs(p.n))
     return abs(p.n) * x // math.gcd(x, abs(p.m))
@@ -67,7 +67,7 @@ def step(p: GroupParams, x: int, eps: int) -> int:
 def step_h(p: GroupParams, x: int, eps: int, h: int) -> int:
     """Exponent of t^(-eps) <a^x> t^(eps) intersect <a^h>."""
     if h < 1:
-        raise ValueError(f"h must be positive, got {h}")
+        raise NotANodeError(f"h must be positive, got {h}")
     return math.lcm(step(p, x, eps), h)
 
 

@@ -12,6 +12,11 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 
+# Vertex budget for tree balls (cosets.enumerate_ball, cosets.orbit_census,
+# the CLI's --budget).  Kept here so the CLI parser reads it without
+# importing cosets.
+DEFAULT_BUDGET = 200_000
+
 
 @dataclass(frozen=True)
 class GroupParams:

@@ -48,7 +48,8 @@ def parse_word(text: str) -> Word:
     from ``a A t T`` optionally followed by ``^`` and a signed integer.
     ``a^-3`` expands to ``AAA``; an exponent on a capital letter composes
     inverses (``A^2`` is ``a^-2``); exponent 0 contributes nothing.
-    Raises ParseError with the byte offset of the offending token.
+    Raises ParseError with the byte offset of the offending token, also
+    for an exponent too large to expand into letters.
     """
     out: list[str] = []
     i = 0
@@ -60,7 +61,7 @@ def parse_word(text: str) -> Word:
             continue
         if ch not in _LETTERS:
             raise ParseError(f"unexpected character {ch!r}", i)
-        letter = ch
+        letter, tok = ch, i
         i += 1
         exp = 1
         if i < ln and text[i] == "^":
@@ -76,10 +77,10 @@ def parse_word(text: str) -> Word:
         if letter in "AT":
             letter = letter.lower()
             exp = -exp
-        if exp >= 0:
-            out.append(letter * exp)
-        else:
-            out.append(letter.upper() * (-exp))
+        try:
+            out.append(letter * exp if exp >= 0 else letter.upper() * -exp)
+        except (OverflowError, MemoryError):
+            raise ParseError(f"exponent {exp} too large to expand", tok) from None
     return "".join(out)
 
 

@@ -169,6 +169,11 @@ class TestExitCodes:
         code, _, _ = invoke(["--group", "2;3", "scale", "t"])
         assert code == 1
 
+    def test_negative_m_after_space(self):
+        spaced = invoke(["--group", "-1,2", "scale", "t"])
+        assert spaced == invoke(["--group=-1,2", "scale", "t"])
+        assert spaced[0] == 0 and spaced[1] == "1\n"
+
     def test_parse_error_with_offset(self):
         code, _, err = invoke(["--group", "2,3", "scale", "t b"])
         assert code == 2 and "offset 2" in err
@@ -194,6 +199,23 @@ class TestExitCodes:
     def test_trace_rejects_pinched_word(self):
         code, _, err = invoke(["--group", "2,3", "trace", "t a^2 T"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["trace", "--start", "0", "t"], 3),
+            (["trace", "--h", "0", "t"], 3),
+            (["ball", "--radius", "2", "--dot", "missing-dir/x.dot"], 1),
+            (["reduce", "a^99999999999999999999"], 2),
+            (["ball", "--radius", "-3"], 1),
+            (["census", "--radius", "-1"], 1),
+            (["omega-edges", "--levels", "-1"], 1),
+        ],
+    )
+    def test_documented_code_without_traceback(self, argv, expected, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(["--group", "2,3"] + argv)
+        assert code == expected and out == "" and err and "Traceback" not in err
 
     def test_errors_leave_stdout_clean(self):
         for argv in (["--group", "2,3", "scale", "t b"], ["--group", "0,3", "scale", "t"]):

@@ -42,6 +42,12 @@ class TestStep:
         with pytest.raises(ValueError):
             step(P23, 0, 1)
 
+    def test_nonpositive_is_not_a_node(self):
+        with pytest.raises(NotANodeError):
+            step(P23, 0, 1)
+        with pytest.raises(NotANodeError):
+            step_h(P23, 1, 1, 0)
+
     @given(
         st.sampled_from([GroupParams(m, n) for m in range(2, 7) for n in range(2, 7)]),
         st.integers(min_value=1, max_value=400),

@@ -59,7 +59,10 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "text,offset",
-        [("b", 0), ("a b", 2), ("a^", 2), ("a^x", 2), ("t^-", 2), ("aa^ 3", 3)],
+        [
+            ("b", 0), ("a b", 2), ("a^", 2), ("a^x", 2), ("t^-", 2), ("aa^ 3", 3),
+            ("t a^99999999999999999999", 2), ("A^-99999999999999999999", 0),
+        ],
     )
     def test_errors_carry_offset(self, text, offset):
         with pytest.raises(ParseError) as exc:
