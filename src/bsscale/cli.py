@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def nonnegative(text: str) -> int:
-    """argparse type for sizes (radius, levels): an int >= 0."""
+    """argparse type for sizes and bounds (radius, levels, rho-max): an int >= 0."""
     value = int(text)
     if value < 0:
         raise ValueError(text)
@@ -61,43 +61,10 @@ def _build_parser() -> _Parser:
         help="vertex budget for tree balls",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def cmd(name, **kwargs):
-        return sub.add_parser(name, **kwargs)
-
-    cmd("reduce").add_argument("word")
-    cmd("nf").add_argument("word")
-    cmd("rho").add_argument("word")
-    p_eq = cmd("equal")
-    p_eq.add_argument("word")
-    p_eq.add_argument("other")
-    cmd("scale").add_argument("word")
-    cmd("modular").add_argument("word")
-    cmd("flat-rank")
-    cmd("kernel")
-    p_mo = cmd("moller")
-    p_mo.add_argument("--kmax", type=int, default=8)
-    p_mo.add_argument("word")
-    p_tr = cmd("trace")
-    p_tr.add_argument("--start", type=int, default=1)
-    p_tr.add_argument("--h", type=int, default=1)
-    p_tr.add_argument("word")
-    cmd("omega-edges").add_argument("--levels", type=nonnegative, default=3)
-    p_od = cmd("omega-dist")
-    p_od.add_argument("x", type=int)
-    p_od.add_argument("y", type=int)
-    cmd("orbit").add_argument("word")
-    p_ob = cmd("orbit-brute")
-    p_ob.add_argument("--dmax", type=int, default=None)
-    p_ob.add_argument("word")
-    p_ball = cmd("ball")
-    p_ball.add_argument("--radius", type=nonnegative, required=True)
-    p_ball.add_argument("--dot", metavar="PATH", default=None)
-    cmd("census").add_argument("--radius", type=nonnegative, required=True)
-    cmd("structure").add_argument("word", nargs="?", default=None)
-    cmd("matrix").add_argument("word")
-    cmd("scale-set").add_argument("--rho-max", type=int, required=True)
-    cmd("selfcheck").add_argument("--seed", type=int, default=0)
+    for name, (_, arguments, _, _) in _COMMANDS.items():
+        cmd = sub.add_parser(name)
+        for names, kwargs in arguments:
+            cmd.add_argument(*names, **kwargs)
     return top
 
 
@@ -173,36 +140,44 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 
 def _dispatch(args, out, err) -> int:
-    handler, notice = _COMMANDS[args.command]
-    p = None if args.command == "selfcheck" else _group(args)
+    handler, _, notice, group = _COMMANDS[args.command]
+    p = _group(args) if group else None
     if notice:
         _notice(p, args, err)
     text, payload = handler(p, args)
     _emit(args, out, text, payload)
-    return _SELFCHECK_EXIT if payload.get("failures") else 0  # selfcheck only
+    return _SELFCHECK_EXIT if payload.get("failures") else 0
 
 
-# name -> (handler, notice).  A handler maps (GroupParams, args) to its
-# text and JSON outputs.  ``notice`` marks commands whose answers route
-# through discrete / divisor-case logic; text mode prints the case on stderr.
+# name -> (handler, arguments, notice, group), in registration order, which
+# is the subcommand order of --help.  A handler maps (GroupParams, args) to
+# its text and JSON outputs; ``arguments`` are the subcommand's add_argument
+# declarations.  ``notice`` marks commands whose answers route through
+# discrete / divisor-case logic; text mode prints the case on stderr.
+# ``group`` is False for the one command that needs no --group.
 _COMMANDS: dict[str, tuple] = {}
 
 
-def _command(name: str, notice: bool = False):
+def _arg(*names, **kwargs):
+    """One add_argument declaration: its positional and keyword arguments."""
+    return names, kwargs
+
+
+def _command(name: str, *arguments, notice: bool = False, group: bool = True):
     def register(handler):
-        _COMMANDS[name] = (handler, notice)
+        _COMMANDS[name] = (handler, arguments, notice, group)
         return handler
 
     return register
 
 
-@_command("reduce")
+@_command("reduce", _arg("word"))
 def _reduce(p, args):
     w = britton_reduce(p, parse_word(args.word))
     return _word_or_e(w), {"word": format_word(w)}
 
 
-@_command("nf")
+@_command("nf", _arg("word"))
 def _nf(p, args):
     from .normal_forms import element_normal_form
 
@@ -215,19 +190,19 @@ def _nf(p, args):
     }
 
 
-@_command("rho")
+@_command("rho", _arg("word"))
 def _rho(p, args):
     rho = t_exponent(parse_word(args.word))
     return str(rho), {"rho": rho}
 
 
-@_command("equal")
+@_command("equal", _arg("word"), _arg("other"))
 def _equal(p, args):
     res = equal_elements(p, parse_word(args.word), parse_word(args.other))
     return "true" if res else "false", {"equal": res}
 
 
-@_command("scale", notice=True)
+@_command("scale", _arg("word"), notice=True)
 def _scale(p, args):
     from . import invariants
 
@@ -235,7 +210,7 @@ def _scale(p, args):
     return str(sv.value), sv.as_dict()
 
 
-@_command("modular", notice=True)
+@_command("modular", _arg("word"), notice=True)
 def _modular(p, args):
     from . import invariants
 
@@ -259,7 +234,7 @@ def _kernel(p, args):
     return str(k), {"kernel_exponent": k}
 
 
-@_command("moller", notice=True)
+@_command("moller", _arg("--kmax", type=int, default=8), _arg("word"), notice=True)
 def _moller(p, args):
     if args.kmax < 1:
         raise _UsageError("--kmax must be positive")
@@ -278,7 +253,13 @@ def _moller(p, args):
     }
 
 
-@_command("trace", notice=True)
+@_command(
+    "trace",
+    _arg("--start", type=int, default=1),
+    _arg("--h", type=int, default=1),
+    _arg("word"),
+    notice=True,
+)
 def _trace(p, args):
     from . import graph
 
@@ -286,7 +267,7 @@ def _trace(p, args):
     return str(val), {"trace": str(val)}
 
 
-@_command("omega-edges", notice=True)
+@_command("omega-edges", _arg("--levels", type=nonnegative, default=3), notice=True)
 def _omega_edges(p, args):
     from . import graph
 
@@ -306,7 +287,7 @@ def _omega_edges(p, args):
     }
 
 
-@_command("omega-dist", notice=True)
+@_command("omega-dist", _arg("x", type=int), _arg("y", type=int), notice=True)
 def _omega_dist(p, args):
     from . import graph
 
@@ -314,7 +295,7 @@ def _omega_dist(p, args):
     return str(d), {"distance": d}
 
 
-@_command("orbit", notice=True)
+@_command("orbit", _arg("word"), notice=True)
 def _orbit(p, args):
     from . import invariants
 
@@ -322,7 +303,7 @@ def _orbit(p, args):
     return str(val), {"orbit_order": str(val)}
 
 
-@_command("orbit-brute", notice=True)
+@_command("orbit-brute", _arg("--dmax", type=int, default=None), _arg("word"), notice=True)
 def _orbit_brute(p, args):
     from . import cosets
 
@@ -330,7 +311,11 @@ def _orbit_brute(p, args):
     return "none" if val is None else str(val), {"orbit_order": None if val is None else str(val)}
 
 
-@_command("ball")
+@_command(
+    "ball",
+    _arg("--radius", type=nonnegative, required=True),
+    _arg("--dot", metavar="PATH", default=None),
+)
 def _ball(p, args):
     from . import cosets
 
@@ -345,7 +330,7 @@ def _ball(p, args):
     return text, table.as_dict()
 
 
-@_command("census", notice=True)
+@_command("census", _arg("--radius", type=nonnegative, required=True), notice=True)
 def _census(p, args):
     from . import cosets
 
@@ -355,7 +340,7 @@ def _census(p, args):
     }
 
 
-@_command("structure", notice=True)
+@_command("structure", _arg("word", nargs="?", default=None), notice=True)
 def _structure(p, args):
     from . import invariants
 
@@ -376,7 +361,7 @@ def _structure(p, args):
     return text, rep.as_dict()
 
 
-@_command("matrix")
+@_command("matrix", _arg("word"))
 def _matrix(p, args):
     from .normal_forms import bs1n_matrix, bs1n_normal_form
 
@@ -392,17 +377,15 @@ def _matrix(p, args):
     }
 
 
-@_command("scale-set", notice=True)
+@_command("scale-set", _arg("--rho-max", type=nonnegative, required=True), notice=True)
 def _scale_set(p, args):
-    if args.rho_max < 0:
-        raise _UsageError("--rho-max must be nonnegative")
     from . import invariants
 
     values = sorted(invariants.scale_value_set(p, args.rho_max))
     return " ".join(str(v) for v in values), {"values": [str(v) for v in values]}
 
 
-@_command("selfcheck")
+@_command("selfcheck", _arg("--seed", type=int, default=0), group=False)
 def _selfcheck(p, args):
     from . import selfcheck
 

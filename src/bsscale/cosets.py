@@ -115,15 +115,8 @@ def orbit_order_bruteforce(
     a bug, not a property of the input)."""
     if d_max is None:
         d_max = default_scan_bound(p, w)
-    we, ws = word_syllables(w)
-    ie, is_ = _inverse(we, ws)
-    signs = is_ + ws
-    head, mid, tail = ie[:-1], ie[-1] + we[0], we[1:]
-    for d in range(1, d_max + 1):
-        _, left = reduce_syllables(p, head + [mid + d] + tail, signs)
-        if not left:
-            return d
-    return None
+    ws = word_syllables(w)
+    return _scan_into_a(p, _inverse(*ws), ws, d_max)
 
 
 def index_bruteforce(
@@ -135,14 +128,20 @@ def index_bruteforce(
     """
     if d_max is None:
         d_max = default_scan_bound(p, w, k)
-    pe, ps = _power_syllables(*word_syllables(w), k)
-    ie, is_ = _inverse(pe, ps)
-    signs = ps + is_
-    head, mid, tail = pe[:-1], pe[-1] + ie[0], ie[1:]
-    for e in range(1, d_max + 1):
-        _, left = reduce_syllables(p, head + [mid + e] + tail, signs)
+    wk = _power_syllables(*word_syllables(w), k)
+    return _scan_into_a(p, wk, _inverse(*wk), d_max)
+
+
+def _scan_into_a(p: GroupParams, x, y, d_max: int) -> int | None:
+    """Minimal d in 1..d_max with X a^d Y a power of a, X and Y given as
+    syllables (exponents, signs), by word reduction; None past d_max."""
+    (xe, xs), (ye, ys) = x, y
+    head, mid, tail = xe[:-1], xe[-1] + ye[0], ye[1:]
+    signs = xs + ys
+    for d in range(1, d_max + 1):
+        _, left = reduce_syllables(p, head + [mid + d] + tail, signs)
         if not left:
-            return e
+            return d
     return None
 
 

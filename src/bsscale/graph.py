@@ -71,11 +71,6 @@ def step_h(p: GroupParams, x: int, eps: int, h: int) -> int:
     return math.lcm(step(p, x, eps), h)
 
 
-def path_labels(w: Word) -> list[int]:
-    """The t letters of w, in order, as +-1 labels."""
-    return word_syllables(w)[1]
-
-
 def _fold(p: GroupParams, labels, start: int, h: int) -> int:
     x = start
     for eps in labels:
@@ -90,9 +85,15 @@ def trace(p: GroupParams, w: Word, start: int = 1, h: int = 1) -> int:
     w^-1 <a^start> w intersect <a^h> = <a^y>; with start = h = 1 this is the
     conjugate intersection w^-1 <a> w intersect <a>.
 
-    Raises WordConditionError when w is not freely reduced or has a pinch.
+    Raises WordConditionError when w is not freely reduced or has a pinch,
+    and NotANodeError when start or h is below 1.
     """
-    return _fold(p, check_traceable(p, w), start, h)
+    labels = check_traceable(p, w)
+    if h < 1:
+        raise NotANodeError(f"h must be positive, got {h}")
+    if start < 1:
+        raise NotANodeError(f"node value must be positive, got {start}")
+    return _fold(p, labels, start, h) if labels else math.lcm(start, h)
 
 
 def _pure_power(v: int, base: int) -> int | None:
@@ -198,7 +199,7 @@ def trace_geometry(p: GroupParams, w: Word, R: int) -> TraceGeometry:
             "trace_geometry needs the structured graph; "
             "not defined when one parameter divides the other"
         )
-    labels = path_labels(w)
+    labels = word_syllables(w)[1]
     t_neg = sum(1 for e in labels if e < 0)
     if R <= t_neg:
         raise DomainError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import path_labels, step
+from .graph import step
 from .params import GroupParams
 from .words import (
     Word,
@@ -125,7 +125,7 @@ def moller_sequence(p: GroupParams, w: Word, k_max: int) -> list[int]:
 
 
 def _index_sequence(p: GroupParams, z: Word, k_max: int) -> list[int]:
-    labels = path_labels(z)
+    labels = word_syllables(z)[1]
     out = []
     x = 1
     for _ in range(k_max):

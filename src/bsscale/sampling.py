@@ -8,9 +8,8 @@ from __future__ import annotations
 from random import Random
 
 from .params import GroupParams
-from .words import Word, is_pinch_free
+from .words import _LETTERS, Word, is_pinch_free
 
-_LETTERS = "aAtT"
 _NON_INVERSE = {
     "a": "atT",
     "A": "AtT",

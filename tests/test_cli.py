@@ -210,6 +210,8 @@ class TestExitCodes:
             (["ball", "--radius", "-3"], 1),
             (["census", "--radius", "-1"], 1),
             (["omega-edges", "--levels", "-1"], 1),
+            (["trace", "--start", "0", "a"], 3),
+            (["trace", "--h", "0", "a"], 3),
         ],
     )
     def test_documented_code_without_traceback(self, argv, expected, tmp_path, monkeypatch):
@@ -221,6 +223,38 @@ class TestExitCodes:
         for argv in (["--group", "2,3", "scale", "t b"], ["--group", "0,3", "scale", "t"]):
             _, out, err = invoke(argv)
             assert out == "" and err != ""
+
+
+class TestSubcommandHelp:
+    @pytest.mark.parametrize(
+        "name,usage",
+        [
+            ("reduce", "[-h] word"),
+            ("nf", "[-h] word"),
+            ("rho", "[-h] word"),
+            ("equal", "[-h] word other"),
+            ("scale", "[-h] word"),
+            ("modular", "[-h] word"),
+            ("flat-rank", "[-h]"),
+            ("kernel", "[-h]"),
+            ("moller", "[-h] [--kmax KMAX] word"),
+            ("trace", "[-h] [--start START] [--h H] word"),
+            ("omega-edges", "[-h] [--levels LEVELS]"),
+            ("omega-dist", "[-h] x y"),
+            ("orbit", "[-h] word"),
+            ("orbit-brute", "[-h] [--dmax DMAX] word"),
+            ("ball", "[-h] --radius RADIUS [--dot PATH]"),
+            ("census", "[-h] --radius RADIUS"),
+            ("structure", "[-h] [word]"),
+            ("matrix", "[-h] word"),
+            ("scale-set", "[-h] --rho-max RHO_MAX"),
+            ("selfcheck", "[-h] [--seed SEED]"),
+        ],
+    )
+    def test_usage_line(self, name, usage, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run([name, "--help"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"usage: bsscale {name} {usage}"
 
 
 class TestNotices:

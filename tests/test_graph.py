@@ -82,6 +82,14 @@ class TestTrace:
         for k in range(1, 7):
             assert trace(P23, "t" * k) == 2**k
 
+    def test_word_without_t_letters(self):
+        assert trace(P23, "a", start=2, h=3) == 6
+        assert trace(P23, "", start=4, h=2) == 4
+        with pytest.raises(NotANodeError):
+            trace(P23, "a", start=0)
+        with pytest.raises(NotANodeError):
+            trace(P23, "a", h=0)
+
     def test_rejects_unreduced(self):
         with pytest.raises(WordConditionError):
             trace(P23, "tT")
