@@ -4,39 +4,51 @@ radius-bounded Bass-Serre tree ball.
 
 Example:
     python scripts/render_graphs.py --group 2,3 --levels 4 --radius 2 --out-dir out/
+
+Arguments are checked as the bsscale CLI checks them, with its exit codes:
+1 for a usage error (including an unwritable --out-dir), 3 for a domain
+error such as a zero parameter or a ball over the vertex budget.  Both
+drawings are computed before any file is written, so a failing run writes
+nothing.
 """
 
-import argparse
+import sys
 from pathlib import Path
 
-from bsscale import GroupParams, enumerate_ball, export_dot
+from bsscale import cli, enumerate_ball, export_dot
 from bsscale.graph import to_dot
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+def render(argv) -> int:
+    ap = cli.Parser(description=__doc__)
     ap.add_argument("--group", default="2,3", metavar="M,N")
-    ap.add_argument("--levels", type=int, default=4)
-    ap.add_argument("--radius", type=int, default=2)
+    ap.add_argument("--levels", type=cli.nonnegative, default=4)
+    ap.add_argument("--radius", type=cli.nonnegative, default=2)
     ap.add_argument("--out-dir", default=".")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    m, n = (int(v) for v in args.group.split(","))
-    p = GroupParams(m, n)
+    p = cli.group_params(args.group)
+    m, n = p.m, p.n
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    ball_path = out / f"ball_{m}_{n}_r{args.radius}.dot"
-    ball_path.write_text(export_dot(enumerate_ball(p, args.radius)))
-    print(f"wrote {ball_path}")
-
+    files = {out / f"ball_{m}_{n}_r{args.radius}.dot": export_dot(enumerate_ball(p, args.radius))}
     if not p.divisor_case:
-        omega_path = out / f"omega_{m}_{n}_l{args.levels}.dot"
-        omega_path.write_text(to_dot(p, args.levels))
-        print(f"wrote {omega_path}")
-    else:
+        files[out / f"omega_{m}_{n}_l{args.levels}.dot"] = to_dot(p, args.levels)
+
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for path, text in files.items():
+            path.write_text(text)
+            print(f"wrote {path}")
+    except OSError as exc:
+        raise cli.UsageError(f"cannot write to --out-dir: {exc}") from None
+    if p.divisor_case:
         print("divisor case: no structured intersection graph to draw")
+    return 0
+
+
+def main(argv=None) -> int:
+    return cli.guard(lambda: render(argv), sys.stderr)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

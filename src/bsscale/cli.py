@@ -33,13 +33,20 @@ _DOMAIN_EXIT = 3
 _SELFCHECK_EXIT = 4
 
 
-class _UsageError(Exception):
-    pass
+class UsageError(Exception):
+    """A malformed command line: exit code 1."""
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
+    """argparse with the CLI's conventions: errors raise UsageError, and
+    ``--group -1,2`` reads the negative value."""
+
+    def parse_args(self, args=None, namespace=None):
+        argv = sys.argv[1:] if args is None else args
+        return super().parse_args(_glue_group(argv), namespace)
+
     def error(self, message):  # argparse default exits 2; the contract says 1
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def nonnegative(text: str) -> int:
@@ -50,8 +57,8 @@ def nonnegative(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
-    top = _Parser(prog="bsscale", description=__doc__)
+def _build_parser() -> Parser:
+    top = Parser(prog="bsscale", description=__doc__)
     top.add_argument("--group", metavar="M,N", help="group parameters, e.g. 2,3")
     top.add_argument("--output", choices=("text", "json"), default="text")
     top.add_argument(
@@ -80,16 +87,18 @@ def _glue_group(argv: list[str]) -> list[str]:
     return out
 
 
-def _group(args) -> GroupParams:
-    if not args.group:
-        raise _UsageError("--group M,N is required for this command")
+def group_params(text: str | None) -> GroupParams:
+    """The ``--group M,N`` value as GroupParams.  Raises UsageError when it
+    is missing or malformed, and DomainError for a zero parameter."""
+    if not text:
+        raise UsageError("--group M,N is required for this command")
     try:
-        m_str, n_str = args.group.split(",")
+        m_str, n_str = text.split(",")
         p = GroupParams(int(m_str), int(n_str))
     except (ValueError, TypeError) as exc:
         if isinstance(exc, DomainError):
             raise
-        raise _UsageError(f"cannot parse --group {args.group!r}: expected M,N")
+        raise UsageError(f"cannot parse --group {text!r}: expected M,N")
     return p
 
 
@@ -122,13 +131,17 @@ def run(argv: list[str], out=None, err=None) -> int:
     """Dispatch a full command line; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    return guard(lambda: _dispatch(_build_parser().parse_args(argv), out, err), err)
+
+
+def guard(body, err) -> int:
+    """Return body()'s exit code.  A usage error or package error is
+    printed on ``err`` instead and gives its documented exit code."""
     try:
-        args = parser.parse_args(_glue_group(argv))
-        return _dispatch(args, out, err)
+        return body()
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return _USAGE_EXIT
     except ParseError as exc:
@@ -141,7 +154,7 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 def _dispatch(args, out, err) -> int:
     handler, _, notice, group = _COMMANDS[args.command]
-    p = _group(args) if group else None
+    p = group_params(args.group) if group else None
     if notice:
         _notice(p, args, err)
     text, payload = handler(p, args)
@@ -237,7 +250,7 @@ def _kernel(p, args):
 @_command("moller", _arg("--kmax", type=int, default=8), _arg("word"), notice=True)
 def _moller(p, args):
     if args.kmax < 1:
-        raise _UsageError("--kmax must be positive")
+        raise UsageError("--kmax must be positive")
     from . import invariants
 
     word = parse_word(args.word)
@@ -325,7 +338,7 @@ def _ball(p, args):
             with open(args.dot, "w") as fh:
                 fh.write(cosets.export_dot(table))
         except OSError as exc:
-            raise _UsageError(f"cannot write --dot file: {exc}") from None
+            raise UsageError(f"cannot write --dot file: {exc}") from None
     text = f"vertices {len(table.vertices)} edges {len(table.edges)} boundary {len(table.boundary)}"
     return text, table.as_dict()
 

@@ -15,7 +15,7 @@ from .errors import BudgetError, InvariantError
 from .invariants import orbit_order_factorization, orbit_order_syllables
 from .normal_forms import CosetId, coset_of, coset_word
 from .params import DEFAULT_BUDGET, GroupParams
-from .words import Word, format_word, reduce_syllables, word_syllables
+from .words import Word, format_word, invert_syllables, reduce_syllables, word_syllables
 
 
 @dataclass
@@ -108,7 +108,7 @@ def act(p: GroupParams, table: CosetTable, gen: str, v: int) -> int | None:
 
 
 def orbit_order_bruteforce(
-    p: GroupParams, w: Word, d_max: int | None = None
+    p: GroupParams, w: str, d_max: int | None = None
 ) -> int | None:
     """Minimal d in 1..d_max with w^-1 a^d w a power of a, by direct scan;
     None if the scan bound is passed (with the default bound that signals
@@ -116,11 +116,11 @@ def orbit_order_bruteforce(
     if d_max is None:
         d_max = default_scan_bound(p, w)
     ws = word_syllables(w)
-    return _scan_into_a(p, _inverse(*ws), ws, d_max)
+    return _scan_into_a(p, invert_syllables(*ws), ws, d_max)
 
 
 def index_bruteforce(
-    p: GroupParams, w: Word, k: int, d_max: int | None = None
+    p: GroupParams, w: str, k: int, d_max: int | None = None
 ) -> int | None:
     """Minimal e in 1..d_max with w^k a^e w^-k a power of a: the generator
     exponent of <a> intersect w^-k <a> w^k, whose value is the index
@@ -129,7 +129,7 @@ def index_bruteforce(
     if d_max is None:
         d_max = default_scan_bound(p, w, k)
     wk = _power_syllables(*word_syllables(w), k)
-    return _scan_into_a(p, wk, _inverse(*wk), d_max)
+    return _scan_into_a(p, wk, invert_syllables(*wk), d_max)
 
 
 def _scan_into_a(p: GroupParams, x, y, d_max: int) -> int | None:
@@ -155,12 +155,7 @@ def _power_syllables(we: list[int], ws: list[int], k: int):
     return exps, signs
 
 
-def _inverse(exps: list[int], signs: list[int]):
-    """Syllables of the inverse word: reversed, with every sign flipped."""
-    return [-e for e in reversed(exps)], [-s for s in reversed(signs)]
-
-
-def default_scan_bound(p: GroupParams, w: Word, k: int = 1) -> int:
+def default_scan_bound(p: GroupParams, w: str, k: int = 1) -> int:
     """Scan ceiling g * (l/|m|)^B * (l/|n|)^B with B the t-letter count of
     w^k; orbit and index values always sit below it."""
     b = k * (w.count("t") + w.count("T"))

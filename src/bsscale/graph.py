@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError, NoPathError, NotANodeError
 from .params import GroupParams
-from .words import Word, check_traceable, word_syllables
+from .words import check_traceable, word_syllables
 
 ROOT = "root"
 LEFT_RAY = "left_ray"
@@ -78,7 +78,7 @@ def _fold(p: GroupParams, labels, start: int, h: int) -> int:
     return x
 
 
-def trace(p: GroupParams, w: Word, start: int = 1, h: int = 1) -> int:
+def trace(p: GroupParams, w: str, start: int = 1, h: int = 1) -> int:
     """Follow the edges labeled by the t letters of w from the node
     ``start``, intersecting with <a^h> at every step.  For a freely reduced
     pinch-free w the result y satisfies
@@ -185,7 +185,7 @@ def shortest_path_len(p: GroupParams, x: int, y: int) -> int:
     raise NoPathError(f"no directed path from {x} to {y}")
 
 
-def trace_geometry(p: GroupParams, w: Word, R: int) -> TraceGeometry:
+def trace_geometry(p: GroupParams, w: str, R: int) -> TraceGeometry:
     """Trace the path labeled t^R followed by the t letters of w from the
     root and certify its endpoint position.
 

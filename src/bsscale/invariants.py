@@ -17,7 +17,6 @@ from fractions import Fraction
 from .graph import step
 from .params import GroupParams
 from .words import (
-    Word,
     conjugacy_normalize,
     reduce_syllables,
     t_exponent,
@@ -82,7 +81,7 @@ class StructureReport:
         }
 
 
-def scale(p: GroupParams, w: Word) -> ScaleValue:
+def scale(p: GroupParams, w: str) -> ScaleValue:
     """Scale of the element represented by w: (l/|n|)^rho for rho >= 0,
     else (l/|m|)^|rho|.  In the divisor case n = m r this degenerates to
     1 for rho >= 0 and |r|^|rho| otherwise."""
@@ -92,7 +91,7 @@ def scale(p: GroupParams, w: Word) -> ScaleValue:
     return ScaleValue(base=p.l_over_m, exponent=-rho)
 
 
-def modular(p: GroupParams, w: Word) -> ModularValue:
+def modular(p: GroupParams, w: str) -> ModularValue:
     """Modular function value |m/n|^rho in lowest terms."""
     f = Fraction(abs(p.m), abs(p.n)) ** t_exponent(w)
     return ModularValue(f.numerator, f.denominator)
@@ -109,7 +108,7 @@ def pi_kernel(p: GroupParams) -> int:
     return abs(p.m) if p.discrete else 0
 
 
-def moller_sequence(p: GroupParams, w: Word, k_max: int) -> list[int]:
+def moller_sequence(p: GroupParams, w: str, k_max: int) -> list[int]:
     """Indices r_k = [<a> : <a> intersect z^-k <a> z^k] for k = 1..k_max,
     where z is the conjugacy normalization of w (its powers stay pinch-free,
     so the intersection graph computes each index).  Consecutive ratios
@@ -124,7 +123,7 @@ def moller_sequence(p: GroupParams, w: Word, k_max: int) -> list[int]:
     return _index_sequence(p, conjugacy_normalize(p, w), k_max)
 
 
-def _index_sequence(p: GroupParams, z: Word, k_max: int) -> list[int]:
+def _index_sequence(p: GroupParams, z: str, k_max: int) -> list[int]:
     labels = word_syllables(z)[1]
     out = []
     x = 1
@@ -135,7 +134,7 @@ def _index_sequence(p: GroupParams, z: Word, k_max: int) -> list[int]:
     return out
 
 
-def moller_stabilization(p: GroupParams, w: Word, k_max: int) -> tuple[list[int], bool]:
+def moller_stabilization(p: GroupParams, w: str, k_max: int) -> tuple[list[int], bool]:
     """The index sequence plus whether every ratio past the engineering
     bound 2N + 1 (N the t^-1 count of the normalized word) equals scale(w)."""
     z = conjugacy_normalize(p, w)
@@ -149,7 +148,7 @@ def moller_stabilization(p: GroupParams, w: Word, k_max: int) -> tuple[list[int]
     return seq, ok
 
 
-def orbit_order(p: GroupParams, w: Word) -> int:
+def orbit_order(p: GroupParams, w: str) -> int:
     """Order of the <a>-orbit of the coset w<a>: the minimal d > 0 with
     a^d w <a> = w <a>.
 
@@ -213,7 +212,7 @@ def _prime_divisors(v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def structure_report(p: GroupParams, w: Word | None = None) -> StructureReport:
+def structure_report(p: GroupParams, w: str | None = None) -> StructureReport:
     """Prime content of the tidy factorization V = V+ V- for the completion:
     V+ carries the primes of l/|n| and V- those of l/|m| (the two are
     coprime), with the roles swapped when the queried element has negative

@@ -40,7 +40,7 @@ class ElementNormalForm:
         )
 
 
-def element_normal_form(p: GroupParams, w: Word) -> ElementNormalForm:
+def element_normal_form(p: GroupParams, w: str) -> ElementNormalForm:
     """Unique canonical form of w; two words get the same form exactly when
     they are equal in BS(m, n)."""
     exps, signs = reduce_syllables(p, *word_syllables(w))
@@ -70,7 +70,7 @@ def _normalize_reduced(
     return ElementNormalForm(tuple(syll), acc)
 
 
-def coset_of(p: GroupParams, w: Word) -> CosetId:
+def coset_of(p: GroupParams, w: str) -> CosetId:
     """Canonical index of the left coset w<a> (normal form with the tail
     dropped); the empty tuple is the base coset <a>."""
     return element_normal_form(p, w).syllables
@@ -90,7 +90,7 @@ def _require_unit_m(p: GroupParams) -> None:
         raise DomainError(f"operation requires |m| = 1, got m = {p.m}")
 
 
-def bs1n_normal_form(p: GroupParams, w: Word) -> tuple[int, int, int]:
+def bs1n_normal_form(p: GroupParams, w: str) -> tuple[int, int, int]:
     """Write w as t^(-neg) a^q t^(pos) with neg, pos >= 0 and n dividing q
     only if neg = 0 or pos = 0.  Requires |m| = 1.
 
@@ -145,7 +145,7 @@ class BS1nMatrix:
         )
 
 
-def bs1n_matrix(p: GroupParams, w: Word) -> BS1nMatrix:
+def bs1n_matrix(p: GroupParams, w: str) -> BS1nMatrix:
     """Image of w under a -> [[1,1],[0,1]], t -> [[mn,0],[0,1]]; a faithful
     homomorphism for |m| = 1.  (For m = 1 the t image is [[n,0],[0,1]]; the
     extra sign makes the relation hold for m = -1 as well.)"""

@@ -8,7 +8,7 @@ from __future__ import annotations
 from random import Random
 
 from .params import GroupParams
-from .words import _LETTERS, Word, is_pinch_free
+from .words import _LETTERS, is_pinch_free
 
 _NON_INVERSE = {
     "a": "atT",
@@ -18,12 +18,12 @@ _NON_INVERSE = {
 }
 
 
-def random_word(rng: Random, max_len: int, min_len: int = 0) -> Word:
+def random_word(rng: Random, max_len: int, min_len: int = 0) -> str:
     length = rng.randint(min_len, max_len)
     return "".join(rng.choice(_LETTERS) for _ in range(length))
 
 
-def random_freely_reduced_word(rng: Random, max_len: int, min_len: int = 0) -> Word:
+def random_freely_reduced_word(rng: Random, max_len: int, min_len: int = 0) -> str:
     length = rng.randint(min_len, max_len)
     out: list[str] = []
     for _ in range(length):
@@ -33,7 +33,7 @@ def random_freely_reduced_word(rng: Random, max_len: int, min_len: int = 0) -> W
 
 def random_pinch_free_word(
     p: GroupParams, rng: Random, max_len: int, min_len: int = 0, max_t: int | None = None
-) -> Word:
+) -> str:
     """Rejection-sample a freely reduced pinch-free word, optionally capping
     the t-letter count (scan oracles grow geometrically in it)."""
     while True:

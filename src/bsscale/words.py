@@ -1,19 +1,22 @@
 """Word algebra for BS(m, n): parsing, free and pinch reduction, the word
 problem, t-exponent sum, and conjugacy normalization.
 
-A word is a plain string over the four letters ``a A t T`` where the capital
+A word is a string over the four letters ``a A t T`` where the capital
 letter is the inverse of the lowercase one.  A pinch is a subword
 ``t a^(cm) T`` or ``T a^(cn) t`` (c an integer, possibly 0 or negative);
 replacing it by ``a^(cn)`` or ``a^(cm)`` respectively does not change the
 group element.  A freely reduced word with no pinches represents the
 identity only if it is empty, which decides the word problem.
 
-Letter strings are the boundary: public functions take and return them.
-Inside, a word is decoded once, by ``word_syllables``, into the run-length
-"syllable" form a^(e0) t^(s1) a^(e1) ... t^(sk) a^(ek), a pair of lists
-(exponents, signs), and every reduction works on that form.  The decoder
-reads letters with str methods, so Python steps once per t letter, not
-once per letter.
+Every reduction works on the run-length "syllable" form
+a^(e0) t^(s1) a^(e1) ... t^(sk) a^(ek), a pair (exponents, signs).  Public
+functions take any letter string and return a ``Word``: a ``str`` of the
+same letters that also stores its syllables, so it compares, hashes,
+slices and serializes as the plain string.  ``word_syllables`` reads a
+``Word``'s stored form and decodes any other string, once, with str
+methods (Python steps once per t letter, not once per letter).  A word
+built by this module is therefore never decoded again; the price is one
+extra copy of its letters, made when the ``Word`` is built.
 """
 
 from __future__ import annotations
@@ -21,28 +24,48 @@ from __future__ import annotations
 from .errors import ParseError, WordConditionError
 from .params import GroupParams
 
-Word = str
-
 _LETTERS = "aAtT"
 _INVERT = str.maketrans("aAtT", "AaTt")
 
 
-def invert_word(w: Word) -> Word:
+class Word(str):
+    """A letter string built by this package, carrying its syllable form
+    (exponents and signs, as tuples; see ``word_syllables``).
+
+    Equality, hashing, slicing, JSON and ``str`` methods see only the
+    letters, and results of str methods are plain strings.  Only this
+    module builds one, from syllables that match the letters.
+    """
+
+    __slots__ = ("_exps", "_signs")
+
+    def __new__(cls, letters: str, exps, signs):
+        self = super().__new__(cls, letters)
+        self._exps = tuple(exps)
+        self._signs = tuple(signs)
+        return self
+
+    def __reduce__(self):  # copy and pickle rebuild the syllables too
+        return Word, (str(self), self._exps, self._signs)
+
+
+def invert_word(w: str) -> str:
     """Group inverse: reverse the word and invert each letter."""
     return w.translate(_INVERT)[::-1]
 
 
-def t_exponent(w: Word) -> int:
+def t_exponent(w: str) -> int:
     """Number of t letters minus number of t^-1 letters.
 
     Invariant under every relation of BS(m, n), so it is a well defined
-    homomorphism to the integers on group elements.
+    homomorphism to the integers on group elements.  Raises ParseError at
+    the first letter outside ``a A t T``.
     """
-    return w.count("t") - w.count("T")
+    return sum(word_syllables(w)[1])
 
 
 def parse_word(text: str) -> Word:
-    """Parse word text into a flat letter string.
+    """Parse word text into a flat letter string, built with its syllables.
 
     Grammar: tokens separated by optional whitespace, each token a letter
     from ``a A t T`` optionally followed by ``^`` and a signed integer.
@@ -51,7 +74,10 @@ def parse_word(text: str) -> Word:
     Raises ParseError with the byte offset of the offending token, also
     for an exponent too large to expand into letters.
     """
-    out: list[str] = []
+    pieces: list[str] = []
+    exps: list[int] = []  # the a runs closed by a t letter
+    signs: list[int] = []
+    acc = 0  # exponent of the open a run
     i = 0
     ln = len(text)
     while i < ln:
@@ -61,7 +87,7 @@ def parse_word(text: str) -> Word:
             continue
         if ch not in _LETTERS:
             raise ParseError(f"unexpected character {ch!r}", i)
-        letter, tok = ch, i
+        tok = i
         i += 1
         exp = 1
         if i < ln and text[i] == "^":
@@ -74,23 +100,36 @@ def parse_word(text: str) -> Word:
             while i < ln and text[i].isdigit():
                 i += 1
             exp = int(text[start:i])
-        if letter in "AT":
-            letter = letter.lower()
+        if ch in "AT":
             exp = -exp
         try:
-            out.append(letter * exp if exp >= 0 else letter.upper() * -exp)
+            if ch in "aA":
+                pieces.append("a" * exp if exp >= 0 else "A" * -exp)
+                acc += exp
+            elif exp:
+                pieces.append("t" * exp if exp > 0 else "T" * -exp)
+                exps.append(acc)
+                acc = 0
+                if exp == 1 or exp == -1:
+                    signs.append(exp)
+                else:  # |exp| t letters with empty a runs between them
+                    signs += [1 if exp > 0 else -1] * abs(exp)
+                    exps += [0] * (abs(exp) - 1)
         except (OverflowError, MemoryError):
             raise ParseError(f"exponent {exp} too large to expand", tok) from None
-    return "".join(out)
+    exps.append(acc)
+    letters = "".join(pieces)
+    del pieces  # at most one more copy of the letters while the Word is built
+    return Word(letters, exps, signs)
 
 
-def format_word(w: Word) -> str:
+def format_word(w: str) -> str:
     """Compact serialization: maximal runs folded into exponents >= 2,
     tokens space separated.  Inverse runs print as negative exponents
     (``TT`` becomes ``t^-2``).  The empty word prints as the empty string.
     """
     exps, signs = word_syllables(w)
-    if sum(map(abs, exps)) + len(signs) < len(w):  # an a run meets an A run
+    if _mixes_a_and_A(w, exps, signs):
         pieces = w.replace("aA", "a A").replace("Aa", "A a").split()
         return " ".join(map(format_word, pieces))
     tokens = [_power_token("a", exps[0])]
@@ -104,6 +143,12 @@ def format_word(w: Word) -> str:
     return " ".join(filter(None, tokens))
 
 
+def _mixes_a_and_A(w: str, exps: list[int], signs: list[int]) -> bool:
+    """True iff some a run of w holds both a and A letters: they cancel in
+    its exponent, so w has more letters than sum |e| + #t."""
+    return sum(map(abs, exps)) + len(signs) < len(w)
+
+
 def _power_token(letter: str, e: int) -> str:
     if e == 1:
         return letter
@@ -112,13 +157,13 @@ def _power_token(letter: str, e: int) -> str:
     return f"{letter}^{e}" if e else ""
 
 
-def free_reduce(w: Word) -> Word:
+def free_reduce(w: str) -> Word:
     """Remove adjacent inverse pairs until none remain (free group
     reduction over {a, t}).  Idempotent."""
     return syllables_to_word(*free_reduce_syllables(*word_syllables(w)))
 
 
-def is_freely_reduced(w: Word) -> bool:
+def is_freely_reduced(w: str) -> bool:
     return not ("aA" in w or "Aa" in w or "tT" in w or "Tt" in w)
 
 
@@ -128,15 +173,24 @@ def is_freely_reduced(w: Word) -> bool:
 _T_LETTERS = str.maketrans("", "", "aA")
 
 
-def word_syllables(w: Word) -> tuple[list[int], list[int]]:
+def word_syllables(w: str) -> tuple[list[int], list[int]]:
     """Run-length form: lists (exps, signs) with len(exps) = len(signs) + 1,
     meaning a^exps[0] t^signs[0] a^exps[1] ... t^signs[-1] a^exps[-1].
     Adjacent a/A letters merge, so the form is free-reduced in the a runs.
+    The lists are fresh: the caller owns them.
 
-    Letters are read by str methods that copy only the t letters; Python
-    steps once per t letter.  Raises ParseError at the first letter outside
+    A ``Word`` gives its stored syllables.  Any other string is decoded by
+    ``_decode_letters``.  Raises ParseError at the first letter outside
     ``a A t T``.
     """
+    if isinstance(w, Word):
+        return list(w._exps), list(w._signs)
+    return _decode_letters(w)
+
+
+def _decode_letters(w: str) -> tuple[list[int], list[int]]:
+    """The letter decoder: str methods copy only the t letters, and Python
+    steps once per t letter."""
     t_letters = w.translate(_T_LETTERS)
     if t_letters.strip("tT"):
         bad = len(w) - len(w.lstrip("aAtT"))
@@ -152,12 +206,23 @@ def word_syllables(w: Word) -> tuple[list[int], list[int]]:
 
 
 def syllables_to_word(exps: list[int], signs: list[int]) -> Word:
+    """The Word with syllables (exps, signs), each a run written in one
+    letter."""
     parts: list[str] = []
     for k, e in enumerate(exps):
         parts.append("a" * e if e >= 0 else "A" * (-e))
         if k < len(signs):
             parts.append("t" if signs[k] > 0 else "T")
-    return "".join(parts)
+    letters = "".join(parts)
+    del parts  # at most one more copy of the letters while the Word is built
+    return Word(letters, exps, signs)
+
+
+def invert_syllables(
+    exps: list[int], signs: list[int]
+) -> tuple[list[int], list[int]]:
+    """Syllables of the inverse word: reversed, with every sign flipped."""
+    return [-e for e in reversed(exps)], [-s for s in reversed(signs)]
 
 
 def free_reduce_syllables(
@@ -216,16 +281,22 @@ def syllables_pinch_free(p: GroupParams, exps: list[int], signs: list[int]) -> b
     return True
 
 
-def is_pinch_free(p: GroupParams, w: Word) -> bool:
+def is_pinch_free(p: GroupParams, w: str) -> bool:
     exps, signs = word_syllables(w)
     return syllables_pinch_free(p, exps, signs)
 
 
-def check_traceable(p: GroupParams, w: Word) -> list[int]:
+def check_traceable(p: GroupParams, w: str) -> list[int]:
     """Raise unless w is freely reduced and pinch-free; return the signs of
-    its t letters."""
+    its t letters.
+
+    Both tests read syllables only: w is freely reduced iff no a run mixes
+    a and A letters and no t^s a^0 t^-s occurs.
+    """
     exps, signs = word_syllables(w)
-    if not is_freely_reduced(w):
+    if _mixes_a_and_A(w, exps, signs) or not all(
+        e or s == u for s, e, u in zip(signs, exps[1:], signs[1:])
+    ):
         raise WordConditionError(f"word {format_word(w)!r} is not freely reduced")
     if not syllables_pinch_free(p, exps, signs):
         raise WordConditionError(f"word {format_word(w)!r} contains a pinch")
@@ -236,7 +307,7 @@ def check_traceable(p: GroupParams, w: Word) -> list[int]:
 # The word problem.
 
 
-def britton_reduce(p: GroupParams, w: Word) -> Word:
+def britton_reduce(p: GroupParams, w: str) -> Word:
     """Alternately free-reduce and remove pinches (leftmost first) until the
     word is freely reduced and pinch-free.  The result equals w in BS(m, n).
     """
@@ -244,7 +315,7 @@ def britton_reduce(p: GroupParams, w: Word) -> Word:
     return syllables_to_word(exps, signs)
 
 
-def as_power_of_a(p: GroupParams, w: Word) -> int | None:
+def as_power_of_a(p: GroupParams, w: str) -> int | None:
     """Return k when w = a^k in BS(m, n), else None.
 
     A reduced word with surviving t letters cannot lie in <a>, so the
@@ -254,9 +325,12 @@ def as_power_of_a(p: GroupParams, w: Word) -> int | None:
     return exps[0] if not signs else None
 
 
-def equal_elements(p: GroupParams, w: Word, u: Word) -> bool:
-    """Decide w = u in BS(m, n) by reducing w u^-1."""
-    return as_power_of_a(p, w + invert_word(u)) == 0
+def equal_elements(p: GroupParams, w: str, u: str) -> bool:
+    """Decide w = u in BS(m, n) by reducing w u^-1, joined in syllable form."""
+    we, ws = word_syllables(w)
+    ve, vs = invert_syllables(*word_syllables(u))
+    exps, signs = reduce_syllables(p, we[:-1] + [we[-1] + ve[0]] + ve[1:], ws + vs)
+    return not signs and exps[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +338,8 @@ def equal_elements(p: GroupParams, w: Word, u: Word) -> bool:
 
 
 def conjugacy_normalize_with_certificate(
-    p: GroupParams, w: Word
-) -> tuple[Word, Word]:
+    p: GroupParams, w: str
+) -> tuple[Word, str]:
     """Return (z, h) with h z h^-1 = w in BS(m, n) and z z freely reduced and
     pinch-free, so every positive power of z is freely reduced and pinch-free.
 
@@ -325,7 +399,7 @@ def conjugacy_normalize_with_certificate(
         k = max(k - 1, 0)
 
 
-def conjugacy_normalize(p: GroupParams, w: Word) -> Word:
+def conjugacy_normalize(p: GroupParams, w: str) -> Word:
     """Conjugate w to a word z whose square (hence every positive power) is
     freely reduced and pinch-free."""
     z, _ = conjugacy_normalize_with_certificate(p, w)

@@ -1,5 +1,9 @@
 """Word algebra: parsing, reductions, the word problem, t-exponent."""
 
+import copy
+import json
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,20 +11,31 @@ from hypothesis import strategies as st
 from bsscale import (
     GroupParams,
     ParseError,
+    Word,
+    WordConditionError,
     as_power_of_a,
     britton_reduce,
     bs1n_matrix,
     bs1n_normal_form,
+    conjugacy_normalize_with_certificate,
+    coset_word,
+    element_normal_form,
     equal_elements,
     format_word,
     free_reduce,
     invert_word,
     is_freely_reduced,
     is_pinch_free,
+    modular,
+    orbit_order,
     parse_word,
+    scale,
+    structure_report,
     t_exponent,
+    trace,
 )
-from bsscale.words import word_syllables
+from bsscale import words as words_module
+from bsscale.words import check_traceable, word_syllables
 
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
@@ -79,6 +94,10 @@ class TestParse:
             (lambda w: bs1n_normal_form(GroupParams(1, 3), w), "x", 0),
             (lambda w: bs1n_matrix(GroupParams(1, 3), w), "x", 0),
             (lambda w: britton_reduce(P23, w), "taT1", 3),
+            (t_exponent, "tx", 1),
+            (lambda w: scale(P23, w), "tx", 1),
+            (lambda w: modular(P23, w), "tAq", 2),
+            (lambda w: structure_report(P23, w), "Tz", 1),
         ],
     )
     def test_invalid_letters_carry_offset(self, fn, w, offset):
@@ -263,3 +282,93 @@ class TestAgainstLetterLoops:
             assert got.value.offset == exc.offset
         else:
             assert word_syllables(w) == want
+
+
+# ---------------------------------------------------------------------------
+# Words built by the package carry their syllables.
+
+# token text with mixed a/A runs, zero exponents and signed t powers
+token_text = st.lists(
+    st.tuples(st.sampled_from("aAtT"), st.one_of(st.none(), st.integers(-4, 4))), max_size=14
+).map(lambda toks: " ".join(ch if e is None else f"{ch}^{e}" for ch, e in toks))
+# letter strings made of runs that free reduction has to cancel
+mixed_runs = st.lists(
+    st.sampled_from(["aAt", "tTa", "taAT", "a", "A", "t", "T", "aa", "TT"]), max_size=8
+).map("".join)
+
+
+def built_words(p, text):
+    """Each kind of Word the package returns, from one token text."""
+    w = parse_word(text)
+    z, _ = conjugacy_normalize_with_certificate(p, w)
+    nf = element_normal_form(p, w)
+    return [w, britton_reduce(p, w), free_reduce(w), z, nf.to_word(), coset_word(nf.syllables)]
+
+
+class TestWordSyllables:
+    @given(groups, token_text)
+    @settings(max_examples=150)
+    def test_stored_syllables_match_letters(self, p, text):
+        for w in built_words(p, text):
+            assert type(w) is Word
+            assert word_syllables(str(w)) == word_syllables(w)
+            for c in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+                assert type(c) is Word
+                assert c == w
+                assert word_syllables(c) == word_syllables(w)
+
+    def test_behaves_as_its_letters(self):
+        w = parse_word("t a^2 T A")
+        assert w == "taaTA" and hash(w) == hash("taaTA")
+        assert json.dumps({"w": w}) == json.dumps({"w": "taaTA"})
+        assert type(w[1:]) is str and type(w + "a") is str and type(str(w)) is str
+
+    def test_syllable_lists_are_fresh(self):
+        w = parse_word("a t a^2")
+        exps, signs = word_syllables(w)
+        exps[0] = 5
+        signs.append(1)
+        assert word_syllables(w) == ([1, 2], [1])
+
+
+class TestSyllableConsumers:
+    """The consumers that read a Word's syllables against the letter routes
+    they replaced."""
+
+    @given(groups, st.one_of(words, mixed_runs))
+    @settings(max_examples=300)
+    def test_check_traceable(self, p, w):
+        reduced = is_freely_reduced(w)
+        for v in (w, parse_word(w)):
+            try:
+                signs = check_traceable(p, v)
+            except WordConditionError as exc:
+                assert not (reduced and is_pinch_free(p, w))
+                assert ("not freely reduced" in str(exc)) == (not reduced)
+            else:
+                assert reduced and is_pinch_free(p, w)
+                assert signs == word_syllables(w)[1]
+
+    @given(groups, words, words)
+    @settings(max_examples=200)
+    def test_equal_elements(self, p, w, u):
+        for x, y in ((w, u), (w + u, britton_reduce(p, w + u))):
+            want = as_power_of_a(p, x + invert_word(y)) == 0
+            for a in (x, parse_word(x)):
+                for b in (y, parse_word(y)):
+                    assert equal_elements(p, a, b) == want
+
+    @pytest.mark.parametrize("p", [P23, GroupParams(3, -5), P24, GroupParams(1, 3)])
+    def test_chain_never_decodes_letters(self, p, monkeypatch):
+        def refuse(w):
+            raise AssertionError(f"letters decoded: {w[:20]!r}")
+
+        monkeypatch.setattr(words_module, "_decode_letters", refuse)
+        w = parse_word("a^37 t A^5 t^2 a^-41 T a^6 T a^1000 t A T a^2 t")
+        r = britton_reduce(p, w)
+        element_normal_form(p, w)
+        format_word(r)
+        orbit_order(p, r)
+        trace(p, r)
+        assert equal_elements(p, w, r)
+        assert scale(p, w).exponent == 2
