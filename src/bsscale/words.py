@@ -14,17 +14,21 @@ functions take any letter string and return a ``Word``: a ``str`` of the
 same letters that also stores its syllables, so it compares, hashes,
 slices and serializes as the plain string.  ``word_syllables`` reads a
 ``Word``'s stored form and decodes any other string, once, with str
-methods (Python steps once per t letter, not once per letter).  A word
-built by this module is therefore never decoded again; the price is one
-extra copy of its letters, made when the ``Word`` is built.
+methods that split the a runs at the t letters (no Python step per
+letter or per t letter).  A word built by this module is therefore never
+decoded again; the price is one extra copy of its letters, made when the
+``Word`` is built.
 """
 
 from __future__ import annotations
+
+from operator import sub
 
 from .errors import ParseError, WordConditionError
 from .params import GroupParams
 
 _LETTERS = "aAtT"
+_DIGITS = "0123456789"  # exponents take ASCII digits only
 _INVERT = str.maketrans("aAtT", "AaTt")
 
 
@@ -95,9 +99,9 @@ def parse_word(text: str) -> Word:
             start = i
             if i < ln and text[i] in "+-":
                 i += 1
-            if i >= ln or not text[i].isdigit():
+            if i >= ln or text[i] not in _DIGITS:
                 raise ParseError("expected integer after '^'", start)
-            while i < ln and text[i].isdigit():
+            while i < ln and text[i] in _DIGITS:
                 i += 1
             exp = int(text[start:i])
         if ch in "AT":
@@ -171,6 +175,10 @@ def is_freely_reduced(w: str) -> bool:
 # Syllable form.
 
 _T_LETTERS = str.maketrans("", "", "aA")
+# the a letters, resp. the A letters, of each run, with every t letter as "t"
+_A_RUNS = str.maketrans({"A": None, "T": "t"})
+_INV_A_RUNS = str.maketrans({"a": None, "T": "t"})
+_SIGN = {"t": 1, "T": -1}.__getitem__
 
 
 def word_syllables(w: str) -> tuple[list[int], list[int]]:
@@ -189,20 +197,16 @@ def word_syllables(w: str) -> tuple[list[int], list[int]]:
 
 
 def _decode_letters(w: str) -> tuple[list[int], list[int]]:
-    """The letter decoder: str methods copy only the t letters, and Python
-    steps once per t letter."""
+    """The letter decoder: str methods do the work per syllable.  Each a
+    run's exponent is its count of a letters minus its count of A letters,
+    read off two translated copies of w split at the t letters."""
     t_letters = w.translate(_T_LETTERS)
     if t_letters.strip("tT"):
         bad = len(w) - len(w.lstrip("aAtT"))
         raise ParseError(f"invalid letter {w[bad]!r}", bad)
-    exps = []
-    start = 0
-    for c in t_letters:
-        pos = w.find(c, start)
-        exps.append(pos - start - 2 * w.count("A", start, pos))
-        start = pos + 1
-    exps.append(len(w) - start - 2 * w.count("A", start))
-    return exps, [1 if c == "t" else -1 for c in t_letters]
+    exps = list(map(sub, map(len, w.translate(_A_RUNS).split("t")),
+                    map(len, w.translate(_INV_A_RUNS).split("t"))))
+    return exps, list(map(_SIGN, t_letters))
 
 
 def syllables_to_word(exps: list[int], signs: list[int]) -> Word:
@@ -229,17 +233,21 @@ def free_reduce_syllables(
     exps: list[int], signs: list[int]
 ) -> tuple[list[int], list[int]]:
     """Free reduction in syllable form: cancel each t^s a^0 t^-s, merging
-    the a runs around it, left to right with a stack."""
+    the a runs around it, left to right with a stack whose top sign is kept
+    in ``last``."""
     out_e = [exps[0]]
     out_s: list[int] = []
-    for k, s in enumerate(signs, 1):
-        if out_s and out_s[-1] != s and not out_e[-1]:
+    last = 0  # out_s[-1], or 0 when out_s is empty
+    for s, e in zip(signs, exps[1:]):
+        if last != -s or out_e[-1]:
+            out_s.append(s)
+            out_e.append(e)
+            last = s
+        else:
             out_s.pop()
             out_e.pop()
-            out_e[-1] += exps[k]
-        else:
-            out_s.append(s)
-            out_e.append(exps[k])
+            out_e[-1] += e
+            last = out_s[-1] if out_s else 0
     return out_e, out_s
 
 

@@ -212,6 +212,7 @@ class TestExitCodes:
             (["omega-edges", "--levels", "-1"], 1),
             (["trace", "--start", "0", "a"], 3),
             (["trace", "--h", "0", "a"], 3),
+            (["reduce", "a^\u00b2"], 2),
         ],
     )
     def test_documented_code_without_traceback(self, argv, expected, tmp_path, monkeypatch):

@@ -35,7 +35,7 @@ from bsscale import (
     trace,
 )
 from bsscale import words as words_module
-from bsscale.words import check_traceable, word_syllables
+from bsscale.words import check_traceable, free_reduce_syllables, word_syllables
 
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
@@ -46,6 +46,10 @@ words = st.text(alphabet="aAtT", max_size=12)
 run_words = st.lists(
     st.tuples(st.sampled_from("aAtT"), st.integers(1, 3000)), max_size=12
 ).map(lambda runs: "".join(ch * k for ch, k in runs))
+# letter strings made of runs that free reduction has to cancel
+mixed_runs = st.lists(
+    st.sampled_from(["aAt", "tTa", "taAT", "a", "A", "t", "T", "aa", "TT"]), max_size=8
+).map("".join)
 groups = st.sampled_from(
     [P23, GroupParams(3, 2), P24, GroupParams(4, 6), P2m3, GroupParams(-2, 3),
      GroupParams(3, 3), GroupParams(3, -3)]
@@ -77,6 +81,8 @@ class TestParse:
         [
             ("b", 0), ("a b", 2), ("a^", 2), ("a^x", 2), ("t^-", 2), ("aa^ 3", 3),
             ("t a^99999999999999999999", 2), ("A^-99999999999999999999", 0),
+            # exponents take ASCII digits only
+            ("a^\u00b2", 2), ("a^\u0661", 2), ("a^\uff13", 2), ("a^1\u00b2", 3),
         ],
     )
     def test_errors_carry_offset(self, text, offset):
@@ -121,6 +127,15 @@ class TestFreeReduce:
 
     def test_inner_cascade(self):
         assert free_reduce("taAt") == "tt"
+
+    @pytest.mark.parametrize(
+        "w,want",
+        [("taAT", ""), ("tTtT", ""), (parse_word("t a^0 T"), ""), ("atTA", ""),
+         ("ttaATaT", "taT"), ("TtaTtA", ""), ("taATt", "t"), ("ttTT", ""),
+         ("TTaAtt", "")],
+    )
+    def test_cascades(self, w, want):
+        assert free_reduce(w) == want == letter_free_reduce(w)
 
     def test_reduced_word_unchanged(self):
         assert free_reduce("ttttaTTa") == "ttttaTTa"
@@ -256,6 +271,17 @@ def letter_freely_reduced(w):
     return all(w[i + 1] != w[i].translate(_INVERT) for i in range(len(w) - 1))
 
 
+def letter_free_reduce(w):
+    """Free reduction letter by letter: push each letter, pop on its inverse."""
+    stack = []
+    for ch in w:
+        if stack and stack[-1] == ch.translate(_INVERT):
+            stack.pop()
+        else:
+            stack.append(ch)
+    return "".join(stack)
+
+
 class TestAgainstLetterLoops:
     @given(st.one_of(words, run_words))
     @settings(max_examples=300)
@@ -272,16 +298,41 @@ class TestAgainstLetterLoops:
     def test_freely_reduced(self, w):
         assert is_freely_reduced(w) == letter_freely_reduced(w)
 
-    @given(st.text(alphabet="aAtTx ", max_size=12))
+    # bad letters: ASCII, non-ASCII (a letter, a digit) and whitespace
+    @given(st.text(alphabet="aAtTx \t\u00e4\u00b2", max_size=64))
+    @settings(max_examples=300)
     def test_same_error_offset(self, w):
-        try:
-            want = letter_syllables(w)
-        except ParseError as exc:
+        check_same_error_offset(w)
+
+    def test_error_offset_deep_in_t_dense_word(self):
+        w = ("tT" * 1000)[:1999] + "\u00e4"
+        check_same_error_offset(w)
+        with pytest.raises(ParseError) as exc:
+            word_syllables(w)
+        assert exc.value.offset == 1999
+
+    @given(st.one_of(words, run_words, mixed_runs))
+    @settings(max_examples=300)
+    def test_free_reduce(self, w):
+        want = letter_free_reduce(w)
+        assert free_reduce(w) == want
+        assert free_reduce_syllables(*letter_syllables(w)) == letter_syllables(want)
+
+
+def check_same_error_offset(w):
+    """word_syllables, t_exponent and format_word raise at the letter loop's
+    offset, or agree with the letter loops."""
+    try:
+        want = letter_syllables(w)
+    except ParseError as exc:
+        for fn in (word_syllables, t_exponent, format_word):
             with pytest.raises(ParseError) as got:
-                word_syllables(w)
+                fn(w)
             assert got.value.offset == exc.offset
-        else:
-            assert word_syllables(w) == want
+    else:
+        assert word_syllables(w) == want
+        assert t_exponent(w) == sum(want[1])
+        assert format_word(w) == letter_format(w)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +342,6 @@ class TestAgainstLetterLoops:
 token_text = st.lists(
     st.tuples(st.sampled_from("aAtT"), st.one_of(st.none(), st.integers(-4, 4))), max_size=14
 ).map(lambda toks: " ".join(ch if e is None else f"{ch}^{e}" for ch, e in toks))
-# letter strings made of runs that free reduction has to cancel
-mixed_runs = st.lists(
-    st.sampled_from(["aAt", "tTa", "taAT", "a", "A", "t", "T", "aa", "TT"]), max_size=8
-).map("".join)
 
 
 def built_words(p, text):
