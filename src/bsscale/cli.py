@@ -2,10 +2,11 @@
 
 Every command is parameterized by a global ``--group m,n`` flag and writes
 deterministic text (default) or JSON to stdout; diagnostics and notices go
-to stderr.  Exit codes: 0 success, 1 usage error (including an unwritable
-``--dot`` path), 2 word parse error (including an exponent too large to
-expand), 3 domain error (bad parameters, size budget, graph queries
-outside their domain), 4 selfcheck failure.
+to stderr.  ``ball`` and ``omega-edges`` also write their graph as DOT with
+``--dot PATH``.  Exit codes: 0 success, 1 usage error (including an
+unwritable ``--dot`` path), 2 word parse error (including an exponent too
+large to expand), 3 domain error (bad parameters, size budget, graph
+queries outside their domain), 4 selfcheck failure.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ _DOMAIN_EXIT = 3
 _SELFCHECK_EXIT = 4
 
 
-class UsageError(Exception):
+class _UsageError(Exception):
     """A malformed command line: exit code 1."""
 
 
-class Parser(argparse.ArgumentParser):
-    """argparse with the CLI's conventions: errors raise UsageError, and
+class _Parser(argparse.ArgumentParser):
+    """argparse with the CLI's conventions: errors raise _UsageError, and
     ``--group -1,2`` reads the negative value."""
 
     def parse_args(self, args=None, namespace=None):
@@ -46,19 +47,23 @@ class Parser(argparse.ArgumentParser):
         return super().parse_args(_glue_group(argv), namespace)
 
     def error(self, message):  # argparse default exits 2; the contract says 1
-        raise UsageError(message)
+        raise _UsageError(message)
 
 
-def nonnegative(text: str) -> int:
-    """argparse type for sizes and bounds (radius, levels, rho-max): an int >= 0."""
+def _nonnegative(text: str) -> int:
+    """argparse type for sizes and bounds (radius, levels, rho-max, dmax): an int >= 0."""
     value = int(text)
     if value < 0:
         raise ValueError(text)
     return value
 
 
-def _build_parser() -> Parser:
-    top = Parser(prog="bsscale", description=__doc__)
+# argparse names the type in its message: "invalid nonnegative value: '-1'"
+_nonnegative.__name__ = "nonnegative"
+
+
+def _build_parser() -> _Parser:
+    top = _Parser(prog="bsscale", description=__doc__)
     top.add_argument("--group", metavar="M,N", help="group parameters, e.g. 2,3")
     top.add_argument("--output", choices=("text", "json"), default="text")
     top.add_argument(
@@ -87,18 +92,18 @@ def _glue_group(argv: list[str]) -> list[str]:
     return out
 
 
-def group_params(text: str | None) -> GroupParams:
-    """The ``--group M,N`` value as GroupParams.  Raises UsageError when it
+def _group_params(text: str | None) -> GroupParams:
+    """The ``--group M,N`` value as GroupParams.  Raises _UsageError when it
     is missing or malformed, and DomainError for a zero parameter."""
     if not text:
-        raise UsageError("--group M,N is required for this command")
+        raise _UsageError("--group M,N is required for this command")
     try:
         m_str, n_str = text.split(",")
         p = GroupParams(int(m_str), int(n_str))
     except (ValueError, TypeError) as exc:
         if isinstance(exc, DomainError):
             raise
-        raise UsageError(f"cannot parse --group {text!r}: expected M,N")
+        raise _UsageError(f"cannot parse --group {text!r}: expected M,N")
     return p
 
 
@@ -127,21 +132,28 @@ def _word_or_e(w: str) -> str:
     return format_word(w) or "e"
 
 
+def _write_dot(args, render) -> None:
+    """Write ``render()`` to the ``--dot`` path, if one was given.  The text
+    is computed before the file is opened, so an error writes no file."""
+    if not args.dot:
+        return
+    text = render()
+    try:
+        with open(args.dot, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write --dot file: {exc}") from None
+
+
 def run(argv: list[str], out=None, err=None) -> int:
     """Dispatch a full command line; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    return guard(lambda: _dispatch(_build_parser().parse_args(argv), out, err), err)
-
-
-def guard(body, err) -> int:
-    """Return body()'s exit code.  A usage error or package error is
-    printed on ``err`` instead and gives its documented exit code."""
     try:
-        return body()
+        return _dispatch(_build_parser().parse_args(argv), out, err)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except UsageError as exc:
+    except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return _USAGE_EXIT
     except ParseError as exc:
@@ -154,7 +166,7 @@ def guard(body, err) -> int:
 
 def _dispatch(args, out, err) -> int:
     handler, _, notice, group = _COMMANDS[args.command]
-    p = group_params(args.group) if group else None
+    p = _group_params(args.group) if group else None
     if notice:
         _notice(p, args, err)
     text, payload = handler(p, args)
@@ -174,6 +186,9 @@ _COMMANDS: dict[str, tuple] = {}
 def _arg(*names, **kwargs):
     """One add_argument declaration: its positional and keyword arguments."""
     return names, kwargs
+
+
+_DOT = _arg("--dot", metavar="PATH", default=None)
 
 
 def _command(name: str, *arguments, notice: bool = False, group: bool = True):
@@ -250,7 +265,7 @@ def _kernel(p, args):
 @_command("moller", _arg("--kmax", type=int, default=8), _arg("word"), notice=True)
 def _moller(p, args):
     if args.kmax < 1:
-        raise UsageError("--kmax must be positive")
+        raise _UsageError("--kmax must be positive")
     from . import invariants
 
     word = parse_word(args.word)
@@ -280,13 +295,12 @@ def _trace(p, args):
     return str(val), {"trace": str(val)}
 
 
-@_command("omega-edges", _arg("--levels", type=nonnegative, default=3), notice=True)
+@_command("omega-edges", _arg("--levels", type=_nonnegative, default=3), _DOT, notice=True)
 def _omega_edges(p, args):
     from . import graph
 
-    nodes = []
-    for lv in range(args.levels + 1):
-        nodes.extend(graph.level_nodes(p, lv))
+    nodes = graph.nodes_through(p, args.levels)
+    _write_dot(args, lambda: graph.to_dot(p, args.levels))
     edge_rows = []
     for nd in nodes:
         for eps, target in graph.edges_from(p, nd.value):
@@ -316,7 +330,9 @@ def _orbit(p, args):
     return str(val), {"orbit_order": str(val)}
 
 
-@_command("orbit-brute", _arg("--dmax", type=int, default=None), _arg("word"), notice=True)
+@_command(
+    "orbit-brute", _arg("--dmax", type=_nonnegative, default=None), _arg("word"), notice=True
+)
 def _orbit_brute(p, args):
     from . import cosets
 
@@ -326,24 +342,19 @@ def _orbit_brute(p, args):
 
 @_command(
     "ball",
-    _arg("--radius", type=nonnegative, required=True),
-    _arg("--dot", metavar="PATH", default=None),
+    _arg("--radius", type=_nonnegative, required=True),
+    _DOT,
 )
 def _ball(p, args):
     from . import cosets
 
     table = cosets.enumerate_ball(p, args.radius, budget=args.budget)
-    if args.dot:
-        try:
-            with open(args.dot, "w") as fh:
-                fh.write(cosets.export_dot(table))
-        except OSError as exc:
-            raise UsageError(f"cannot write --dot file: {exc}") from None
+    _write_dot(args, lambda: cosets.export_dot(table))
     text = f"vertices {len(table.vertices)} edges {len(table.edges)} boundary {len(table.boundary)}"
     return text, table.as_dict()
 
 
-@_command("census", _arg("--radius", type=nonnegative, required=True), notice=True)
+@_command("census", _arg("--radius", type=_nonnegative, required=True), notice=True)
 def _census(p, args):
     from . import cosets
 
@@ -390,7 +401,7 @@ def _matrix(p, args):
     }
 
 
-@_command("scale-set", _arg("--rho-max", type=nonnegative, required=True), notice=True)
+@_command("scale-set", _arg("--rho-max", type=_nonnegative, required=True), notice=True)
 def _scale_set(p, args):
     from . import invariants
 

@@ -34,13 +34,16 @@ class CosetTable:
     def vertex_word(self, v: int) -> Word:
         return coset_word(self.vertices[v])
 
+    def vertex_labels(self) -> list[str]:
+        """Each vertex's compact coset word, "e" for the base vertex."""
+        return [format_word(self.vertex_word(v)) or "e" for v in range(len(self.vertices))]
+
     def as_dict(self) -> dict:
         return {
             "m": self.params.m,
             "n": self.params.n,
             "radius": self.radius,
-            "vertices": [format_word(self.vertex_word(v)) or "e"
-                         for v in range(len(self.vertices))],
+            "vertices": self.vertex_labels(),
             "edges": [list(e) for e in self.edges],
         }
 
@@ -201,8 +204,7 @@ def export_dot(table: CosetTable) -> str:
         f"digraph ball {{  // BS({table.params.m},{table.params.n}) "
         f"radius {table.radius}"
     ]
-    for v in range(len(table.vertices)):
-        label = format_word(table.vertex_word(v)) or "e"
+    for v, label in enumerate(table.vertex_labels()):
         lines.append(f'  v{v} [label="{label}"];')
     for src, dst, eps in table.edges:
         if eps > 0:

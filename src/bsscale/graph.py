@@ -235,12 +235,15 @@ def level_nodes(p: GroupParams, level: int) -> list[OmegaNode]:
     return [classify_node(p, v) for v in out]
 
 
+def nodes_through(p: GroupParams, max_level: int) -> list[OmegaNode]:
+    """All nodes of level <= max_level, ordered by (level, dist_left)."""
+    return [nd for lv in range(max_level + 1) for nd in level_nodes(p, lv)]
+
+
 def to_dot(p: GroupParams, max_level: int) -> str:
     """DOT rendering of the subgraph induced on nodes of level <= max_level,
     nodes ordered by (level, dist_left)."""
-    nodes: list[OmegaNode] = []
-    for lv in range(max_level + 1):
-        nodes.extend(level_nodes(p, lv))
+    nodes = nodes_through(p, max_level)
     values = {nd.value for nd in nodes}
     lines = [f'digraph omega {{  // BS({p.m},{p.n})']
     for nd in nodes:

@@ -22,6 +22,7 @@ decoded again; the price is one extra copy of its letters, made when the
 
 from __future__ import annotations
 
+import re
 from operator import sub
 
 from .errors import ParseError, WordConditionError
@@ -133,9 +134,11 @@ def format_word(w: str) -> str:
     (``TT`` becomes ``t^-2``).  The empty word prints as the empty string.
     """
     exps, signs = word_syllables(w)
-    if _mixes_a_and_A(w, exps, signs):
-        pieces = w.replace("aA", "a A").replace("Aa", "A a").split()
-        return " ".join(map(format_word, pieces))
+    if _mixes_a_and_A(w, exps, signs):  # one token per maximal letter run
+        return " ".join(
+            _power_token(run[0].lower(), len(run) if run[0] in "at" else -len(run))
+            for run in _LETTER_RUNS.findall(w)
+        )
     tokens = [_power_token("a", exps[0])]
     k = 0
     while k < len(signs):
@@ -151,6 +154,9 @@ def _mixes_a_and_A(w: str, exps: list[int], signs: list[int]) -> bool:
     """True iff some a run of w holds both a and A letters: they cancel in
     its exponent, so w has more letters than sum |e| + #t."""
     return sum(map(abs, exps)) + len(signs) < len(w)
+
+
+_LETTER_RUNS = re.compile("a+|A+|t+|T+")
 
 
 def _power_token(letter: str, e: int) -> str:

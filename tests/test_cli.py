@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from bsscale import GroupParams, enumerate_ball, export_dot
 from bsscale.cli import run
+from bsscale.graph import to_dot
 
 
 def invoke(argv):
@@ -90,7 +92,31 @@ class TestBasicCommands:
         )
         assert code == 0
         assert out == "vertices 6 edges 5 boundary 5\n"
-        assert path.read_text().startswith("digraph ball")
+        assert path.read_bytes() == export_dot(enumerate_ball(GroupParams(2, 3), 1)).encode()
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (-2, 3)])
+    def test_omega_edges_dot(self, tmp_path, m, n):
+        path = tmp_path / "omega.dot"
+        argv = ["--group", f"{m},{n}", "omega-edges", "--levels", "2"]
+        code, out, err = invoke(argv + ["--dot", str(path)])
+        assert code == 0
+        assert (code, out, err) == invoke(argv)
+        assert path.read_bytes() == to_dot(GroupParams(m, n), 2).encode()
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["--group", "2,4", "omega-edges"], 3),
+            (["--group", "2,3", "omega-edges", "--levels", "-2"], 1),
+            (["--group", "0,3", "ball", "--radius", "1"], 3),
+            (["--group", "2,3", "--budget", "10", "ball", "--radius", "5"], 3),
+        ],
+    )
+    def test_failed_command_writes_no_dot_file(self, tmp_path, argv, expected):
+        path = tmp_path / "g.dot"
+        code, out, err = invoke(argv + ["--dot", str(path)])
+        assert code == expected and out == "" and "Traceback" not in err
+        assert not path.exists()
 
     def test_census(self):
         code, out, _ = invoke(["--group", "2,3", "census", "--radius", "1"])
@@ -213,12 +239,24 @@ class TestExitCodes:
             (["trace", "--start", "0", "a"], 3),
             (["trace", "--h", "0", "a"], 3),
             (["reduce", "a^\u00b2"], 2),
+            (["omega-edges", "--dot", "missing-dir/x.dot"], 1),
+            (["orbit-brute", "--dmax", "-5", "t"], 1),
         ],
     )
     def test_documented_code_without_traceback(self, argv, expected, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, err = invoke(["--group", "2,3"] + argv)
         assert code == expected and out == "" and err and "Traceback" not in err
+
+    def test_unwritable_dot_message(self, tmp_path):
+        for cmd in (["ball", "--radius", "1"], ["omega-edges"]):
+            path = tmp_path / "missing-dir" / "x.dot"
+            _, _, err = invoke(["--group", "2,3"] + cmd + ["--dot", str(path)])
+            assert err.startswith("usage error: cannot write --dot file: ")
+
+    def test_negative_bound_message(self):
+        _, _, err = invoke(["--group", "2,3", "orbit-brute", "--dmax", "-5", "t"])
+        assert "argument --dmax: invalid nonnegative value: '-5'" in err
 
     def test_errors_leave_stdout_clean(self):
         for argv in (["--group", "2,3", "scale", "t b"], ["--group", "0,3", "scale", "t"]):
@@ -240,7 +278,7 @@ class TestSubcommandHelp:
             ("kernel", "[-h]"),
             ("moller", "[-h] [--kmax KMAX] word"),
             ("trace", "[-h] [--start START] [--h H] word"),
-            ("omega-edges", "[-h] [--levels LEVELS]"),
+            ("omega-edges", "[-h] [--levels LEVELS] [--dot PATH]"),
             ("omega-dist", "[-h] x y"),
             ("orbit", "[-h] word"),
             ("orbit-brute", "[-h] [--dmax DMAX] word"),
