@@ -14,14 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    BudgetError,
-    DomainError,
-    NoPathError,
-    NotANodeError,
-    ParseError,
-    WordConditionError,
-)
+from .errors import BudgetError, DomainError, ParseError
 from .params import DEFAULT_BUDGET, GroupParams
 from .words import britton_reduce, equal_elements, format_word, parse_word, t_exponent
 
@@ -50,16 +43,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _nonnegative(text: str) -> int:
-    """argparse type for sizes and bounds (radius, levels, rho-max, dmax): an int >= 0."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
+def _int_at_least(low: int, name: str):
+    """argparse type for a size or bound: an int >= low.  argparse names the
+    type in its message, e.g. "invalid nonnegative value: '-1'"."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+
+    convert.__name__ = name
+    return convert
 
 
-# argparse names the type in its message: "invalid nonnegative value: '-1'"
-_nonnegative.__name__ = "nonnegative"
+_nonnegative = _int_at_least(0, "nonnegative")  # budget, radius, levels, rho-max, dmax
+_positive = _int_at_least(1, "positive")  # kmax
 
 
 def _build_parser() -> _Parser:
@@ -68,7 +67,7 @@ def _build_parser() -> _Parser:
     top.add_argument("--output", choices=("text", "json"), default="text")
     top.add_argument(
         "--budget",
-        type=int,
+        type=_nonnegative,
         default=DEFAULT_BUDGET,
         help="vertex budget for tree balls",
     )
@@ -132,10 +131,18 @@ def _word_or_e(w: str) -> str:
     return format_word(w) or "e"
 
 
+def _text_value(v) -> str:
+    """A JSON value as the text output writes it: lists space-separated,
+    booleans lower case."""
+    if isinstance(v, list):
+        return " ".join(map(str, v))
+    return str(v).lower() if isinstance(v, bool) else str(v)
+
+
 def _write_dot(args, render) -> None:
     """Write ``render()`` to the ``--dot`` path, if one was given.  The text
     is computed before the file is opened, so an error writes no file."""
-    if not args.dot:
+    if args.dot is None:
         return
     text = render()
     try:
@@ -159,7 +166,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=err)
         return _PARSE_EXIT
-    except (BudgetError, DomainError, NoPathError, NotANodeError, WordConditionError) as exc:
+    except (BudgetError, DomainError) as exc:
         print(f"domain error: {exc}", file=err)
         return _DOMAIN_EXIT
 
@@ -262,10 +269,8 @@ def _kernel(p, args):
     return str(k), {"kernel_exponent": k}
 
 
-@_command("moller", _arg("--kmax", type=int, default=8), _arg("word"), notice=True)
+@_command("moller", _arg("--kmax", type=_positive, default=8), _arg("word"), notice=True)
 def _moller(p, args):
-    if args.kmax < 1:
-        raise _UsageError("--kmax must be positive")
     from . import invariants
 
     word = parse_word(args.word)
@@ -369,20 +374,9 @@ def _structure(p, args):
     from . import invariants
 
     word = parse_word(args.word) if args.word is not None else None
-    rep = invariants.structure_report(p, word)
-    text = "\n".join(
-        [
-            f"primes_vplus: {' '.join(map(str, rep.primes_vplus))}",
-            f"primes_vminus: {' '.join(map(str, rep.primes_vminus))}",
-            f"quotient_order_bound: {rep.quotient_order_bound}",
-            f"flat_rank: {rep.flat_rank}",
-            f"kernel_exponent: {rep.kernel_exponent}",
-            f"swap_applied: {str(rep.swap_applied).lower()}",
-            f"discrete: {str(rep.discrete).lower()}",
-            f"quasi_centre: {rep.quasi_centre}",
-        ]
-    )
-    return text, rep.as_dict()
+    payload = invariants.structure_report(p, word).as_dict()
+    return "\n".join(f"{key}: {_text_value(v)}" for key, v in payload.items()), payload
+
 
 
 @_command("matrix", _arg("word"))

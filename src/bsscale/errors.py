@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ParseError to 2, everything else
-here to 3 (domain errors).
+The CLI maps these onto exit codes: ParseError to 2, and BudgetError and
+DomainError (with its subclasses) to 3.  InvariantError is mapped to no
+exit code: it signals a bug, not bad input, so it ends in a traceback.
 """
 
 
@@ -18,16 +19,16 @@ class DomainError(ValueError):
     matrix representation, structured graph queries in the divisor case)."""
 
 
-class WordConditionError(ValueError):
+class WordConditionError(DomainError):
     """A word failed a required reduction state (not freely reduced, or
     contains a pinch) for an operation that demands it."""
 
 
-class NotANodeError(ValueError):
+class NotANodeError(DomainError):
     """Integer is not a node label of the intersection graph."""
 
 
-class NoPathError(ValueError):
+class NoPathError(DomainError):
     """No directed path between two intersection-graph nodes within the
     search bound."""
 

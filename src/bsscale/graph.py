@@ -74,7 +74,7 @@ def step_h(p: GroupParams, x: int, eps: int, h: int) -> int:
 def _fold(p: GroupParams, labels, start: int, h: int) -> int:
     x = start
     for eps in labels:
-        x = step_h(p, x, eps, h)
+        x = math.lcm(step(p, x, eps), h)
     return x
 
 
@@ -173,15 +173,14 @@ def shortest_path_len(p: GroupParams, x: int, y: int) -> int:
     queue = deque([x])
     while queue:
         cur = queue.popleft()
-        for _, nxt in edges_from(p, cur):
+        for nxt in (step(p, cur, 1), step(p, cur, -1)):
             if nxt in dist:
                 continue
-            if classify_node(p, nxt).level > max_level:
-                continue
-            dist[nxt] = dist[cur] + 1
+            dist[nxt] = dist[cur] + 1  # seen; expanded only if not below y
             if nxt == y:
                 return dist[nxt]
-            queue.append(nxt)
+            if classify_node(p, nxt).level <= max_level:
+                queue.append(nxt)
     raise NoPathError(f"no directed path from {x} to {y}")
 
 

@@ -118,12 +118,12 @@ def moller_sequence(p: GroupParams, w: str, k_max: int) -> list[int]:
     When |m| = |n| the completion is discrete and every index is reported
     as 1.
     """
-    if p.discrete:
-        return [1] * k_max
     return _index_sequence(p, conjugacy_normalize(p, w), k_max)
 
 
 def _index_sequence(p: GroupParams, z: str, k_max: int) -> list[int]:
+    if p.discrete:
+        return [1] * k_max
     labels = word_syllables(z)[1]
     out = []
     x = 1
@@ -138,13 +138,10 @@ def moller_stabilization(p: GroupParams, w: str, k_max: int) -> tuple[list[int],
     """The index sequence plus whether every ratio past the engineering
     bound 2N + 1 (N the t^-1 count of the normalized word) equals scale(w)."""
     z = conjugacy_normalize(p, w)
-    seq = [1] * k_max if p.discrete else _index_sequence(p, z, k_max)
-    bound = 2 * z.count("T") + 1
+    seq = _index_sequence(p, z, k_max)
     target = scale(p, w).value
-    ok = all(
-        seq[k] == seq[k - 1] * target
-        for k in range(max(bound, 1), len(seq))
-    )
+    bound = 2 * z.count("T") + 1
+    ok = all(seq[k] == seq[k - 1] * target for k in range(bound, len(seq)))
     return seq, ok
 
 

@@ -44,15 +44,9 @@ def element_normal_form(p: GroupParams, w: str) -> ElementNormalForm:
     """Unique canonical form of w; two words get the same form exactly when
     they are equal in BS(m, n)."""
     exps, signs = reduce_syllables(p, *word_syllables(w))
-    return _normalize_reduced(p, exps, signs)
-
-
-def _normalize_reduced(
-    p: GroupParams, exps: list[int], signs: list[int]
-) -> ElementNormalForm:
     # a^(qn + r) t = a^r t a^(qm) and a^(qm + r) T = a^r T a^(qn); pushing
-    # the carry right cannot create a backtrack because the input has no
-    # pinches and carries are multiples of the divisibility modulus.
+    # the carry right cannot create a backtrack because the reduced word has
+    # no pinches and carries are multiples of the divisibility modulus.
     m, n = p.m, p.n
     syll: list[tuple[int, int]] = []
     acc = exps[0]

@@ -18,13 +18,13 @@ _NON_INVERSE = {
 }
 
 
-def random_word(rng: Random, max_len: int, min_len: int = 0) -> str:
-    length = rng.randint(min_len, max_len)
+def random_word(rng: Random, max_len: int) -> str:
+    length = rng.randint(0, max_len)
     return "".join(rng.choice(_LETTERS) for _ in range(length))
 
 
-def random_freely_reduced_word(rng: Random, max_len: int, min_len: int = 0) -> str:
-    length = rng.randint(min_len, max_len)
+def random_freely_reduced_word(rng: Random, max_len: int) -> str:
+    length = rng.randint(0, max_len)
     out: list[str] = []
     for _ in range(length):
         out.append(rng.choice(_NON_INVERSE[out[-1]] if out else _LETTERS))
@@ -32,12 +32,12 @@ def random_freely_reduced_word(rng: Random, max_len: int, min_len: int = 0) -> s
 
 
 def random_pinch_free_word(
-    p: GroupParams, rng: Random, max_len: int, min_len: int = 0, max_t: int | None = None
+    p: GroupParams, rng: Random, max_len: int, max_t: int | None = None
 ) -> str:
     """Rejection-sample a freely reduced pinch-free word, optionally capping
     the t-letter count (scan oracles grow geometrically in it)."""
     while True:
-        w = random_freely_reduced_word(rng, max_len, min_len)
+        w = random_freely_reduced_word(rng, max_len)
         if max_t is not None and sum(1 for ch in w if ch in "tT") > max_t:
             continue
         if is_pinch_free(p, w):

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from bsscale import GroupParams, enumerate_ball, export_dot
+from bsscale import (
+    DomainError,
+    GroupParams,
+    NoPathError,
+    NotANodeError,
+    WordConditionError,
+    enumerate_ball,
+    export_dot,
+)
 from bsscale.cli import run
 from bsscale.graph import to_dot
 
@@ -241,6 +249,9 @@ class TestExitCodes:
             (["reduce", "a^\u00b2"], 2),
             (["omega-edges", "--dot", "missing-dir/x.dot"], 1),
             (["orbit-brute", "--dmax", "-5", "t"], 1),
+            (["ball", "--radius", "1", "--dot", ""], 1),
+            (["omega-edges", "--dot", ""], 1),
+            (["--budget", "-1", "ball", "--radius", "0"], 1),
         ],
     )
     def test_documented_code_without_traceback(self, argv, expected, tmp_path, monkeypatch):
@@ -248,11 +259,22 @@ class TestExitCodes:
         code, out, err = invoke(["--group", "2,3"] + argv)
         assert code == expected and out == "" and err and "Traceback" not in err
 
-    def test_unwritable_dot_message(self, tmp_path):
+    def test_unwritable_dot_message(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         for cmd in (["ball", "--radius", "1"], ["omega-edges"]):
-            path = tmp_path / "missing-dir" / "x.dot"
-            _, _, err = invoke(["--group", "2,3"] + cmd + ["--dot", str(path)])
-            assert err.startswith("usage error: cannot write --dot file: ")
+            for path in (str(tmp_path / "missing-dir" / "x.dot"), ""):
+                _, _, err = invoke(["--group", "2,3"] + cmd + ["--dot", path])
+                assert err.startswith("usage error: cannot write --dot file: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_kmax_checked_before_notice(self):
+        code, out, err = invoke(["--group", "3,3", "moller", "--kmax", "0", "t"])
+        assert code == 1 and out == ""
+        assert err == "usage error: argument --kmax: invalid positive value: '0'\n"
+
+    def test_exit_3_errors_are_domain_errors(self):
+        for cls in (WordConditionError, NotANodeError, NoPathError):
+            assert issubclass(cls, DomainError)
 
     def test_negative_bound_message(self):
         _, _, err = invoke(["--group", "2,3", "orbit-brute", "--dmax", "-5", "t"])

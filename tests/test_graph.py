@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bsscale import (
     DomainError,
     GroupParams,
+    NoPathError,
     NotANodeError,
     WordConditionError,
     classify_node,
@@ -19,7 +20,15 @@ from bsscale import (
     trace,
     trace_geometry,
 )
-from bsscale.graph import INTERIOR, LEFT_RAY, RIGHT_RAY, ROOT, UNSTRUCTURED, to_dot
+from bsscale.graph import (
+    INTERIOR,
+    LEFT_RAY,
+    RIGHT_RAY,
+    ROOT,
+    UNSTRUCTURED,
+    nodes_through,
+    to_dot,
+)
 
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
@@ -167,6 +176,35 @@ class TestDistances:
         right = 3 * 3**i
         assert shortest_path_len(P23, left, right) == i + 1
         assert shortest_path_len(P23, right, left) == i + 1
+
+    @pytest.mark.parametrize("p", [P23, P46, GroupParams(3, -5)])
+    def test_matches_unpruned_bfs(self, p):
+        nodes = [nd.value for nd in nodes_through(p, 3)]
+        for x in nodes:
+            for y in nodes:
+                want = _edges_bfs(p, x, y)
+                if want is None:
+                    with pytest.raises(NoPathError):
+                        shortest_path_len(p, x, y)
+                else:
+                    assert shortest_path_len(p, x, y) == want
+
+
+def _edges_bfs(p, x, y, max_depth=12):
+    """Distance from x to y by breadth-first search over edges_from, with
+    no level pruning; None when y is not reached within max_depth edges."""
+    frontier, seen = [x], {x}
+    for depth in range(max_depth + 1):
+        if y in frontier:
+            return depth
+        nxt = []
+        for v in frontier:
+            for _, u in edges_from(p, v):
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return None
 
 
 class TestTraceGeometry:

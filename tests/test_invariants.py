@@ -95,6 +95,15 @@ class TestMoller:
         _, ok = moller_stabilization(p, w, 8)
         assert ok
 
+    @given(
+        st.sampled_from([P23, P24, P46, P33, GroupParams(2, -2), GroupParams(-3, 5)]),
+        words,
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stabilization_reports_the_sequence(self, p, w, k):
+        assert moller_sequence(p, w, k) == moller_stabilization(p, w, k)[0]
+
 
 class TestModular:
     def test_generator(self):
