@@ -25,8 +25,8 @@ _EXPORTS = {
         " invert_word is_freely_reduced is_pinch_free parse_word t_exponent",
         "normal_forms": "BS1nMatrix CosetId ElementNormalForm bs1n_matrix bs1n_normal_form"
         " coset_of coset_word element_normal_form",
-        "graph": "OmegaNode TraceGeometry classify_node edges_from shortest_path_len step"
-        " step_h trace trace_geometry",
+        "graph": "OmegaNode TraceGeometry classify_node edges_from nodes_through"
+        " shortest_path_len step step_h to_dot trace trace_geometry",
         "invariants": "ModularValue ScaleValue StructureReport flat_rank modular"
         " moller_sequence moller_stabilization orbit_order orbit_order_factorization"
         " pi_kernel scale scale_value_set structure_report",

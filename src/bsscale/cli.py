@@ -12,14 +12,21 @@ queries outside their domain), 4 selfcheck failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+
+import bsscale
 
 from .errors import BudgetError, DomainError, ParseError
 from .params import DEFAULT_BUDGET, GroupParams
-from .words import britton_reduce, equal_elements, format_word, parse_word, t_exponent
-
-# Only the modules above load at start-up: each command handler imports
-# the modules it calls, so a process pays for what its command uses.
+from .words import (
+    equal_elements,
+    format_syllables,
+    parse_word,
+    reduce_syllables,
+    t_exponent,
+    word_syllables,
+)
 
 _USAGE_EXIT = 1
 _PARSE_EXIT = 2
@@ -32,12 +39,7 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the CLI's conventions: errors raise _UsageError, and
-    ``--group -1,2`` reads the negative value."""
-
-    def parse_args(self, args=None, namespace=None):
-        argv = sys.argv[1:] if args is None else args
-        return super().parse_args(_glue_group(argv), namespace)
+    """argparse whose errors raise _UsageError."""
 
     def error(self, message):  # argparse default exits 2; the contract says 1
         raise _UsageError(message)
@@ -98,12 +100,10 @@ def _group_params(text: str | None) -> GroupParams:
         raise _UsageError("--group M,N is required for this command")
     try:
         m_str, n_str = text.split(",")
-        p = GroupParams(int(m_str), int(n_str))
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, DomainError):
-            raise
-        raise _UsageError(f"cannot parse --group {text!r}: expected M,N")
-    return p
+        m, n = int(m_str), int(n_str)
+    except ValueError:
+        raise _UsageError(f"cannot parse --group {text!r}: expected M,N") from None
+    return GroupParams(m, n)
 
 
 def _notice(p: GroupParams, args, err) -> None:
@@ -125,10 +125,6 @@ def _emit(args, out, text: str, payload: dict) -> None:
 
         text = json.dumps(payload)
     print(text, file=out)
-
-
-def _word_or_e(w: str) -> str:
-    return format_word(w) or "e"
 
 
 def _text_value(v) -> str:
@@ -157,7 +153,9 @@ def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        return _dispatch(_build_parser().parse_args(argv), out, err)
+        with contextlib.redirect_stdout(out):  # where argparse prints --help
+            args = _build_parser().parse_args(_glue_group(argv))
+        return _dispatch(args, out, err)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except _UsageError as exc:
@@ -186,7 +184,9 @@ def _dispatch(args, out, err) -> int:
 # its text and JSON outputs; ``arguments`` are the subcommand's add_argument
 # declarations.  ``notice`` marks commands whose answers route through
 # discrete / divisor-case logic; text mode prints the case on stderr.
-# ``group`` is False for the one command that needs no --group.
+# ``group`` is False for the one command that needs no --group.  Handlers
+# call the library through the package's lazy exports (``bsscale.scale``),
+# so a process loads only the modules its command uses.
 _COMMANDS: dict[str, tuple] = {}
 
 
@@ -208,20 +208,18 @@ def _command(name: str, *arguments, notice: bool = False, group: bool = True):
 
 @_command("reduce", _arg("word"))
 def _reduce(p, args):
-    w = britton_reduce(p, parse_word(args.word))
-    return _word_or_e(w), {"word": format_word(w)}
+    word = format_syllables(*reduce_syllables(p, *word_syllables(parse_word(args.word))))
+    return word or "e", {"word": word}
 
 
 @_command("nf", _arg("word"))
 def _nf(p, args):
-    from .normal_forms import element_normal_form
-
-    nf = element_normal_form(p, parse_word(args.word))
-    w = nf.to_word()
-    return _word_or_e(w), {
+    nf = bsscale.element_normal_form(p, parse_word(args.word))
+    word = format_syllables(*nf.word_syllables())
+    return word or "e", {
         "syllables": [list(s) for s in nf.syllables],
         "tail": nf.tail,
-        "word": format_word(w),
+        "word": word,
     }
 
 
@@ -239,43 +237,33 @@ def _equal(p, args):
 
 @_command("scale", _arg("word"), notice=True)
 def _scale(p, args):
-    from . import invariants
-
-    sv = invariants.scale(p, parse_word(args.word))
+    sv = bsscale.scale(p, parse_word(args.word))
     return str(sv.value), sv.as_dict()
 
 
 @_command("modular", _arg("word"), notice=True)
 def _modular(p, args):
-    from . import invariants
-
-    mv = invariants.modular(p, parse_word(args.word))
+    mv = bsscale.modular(p, parse_word(args.word))
     return f"{mv.numerator}/{mv.denominator}", mv.as_dict()
 
 
 @_command("flat-rank", notice=True)
 def _flat_rank(p, args):
-    from . import invariants
-
-    fr = invariants.flat_rank(p)
+    fr = bsscale.flat_rank(p)
     return str(fr), {"flat_rank": fr}
 
 
 @_command("kernel", notice=True)
 def _kernel(p, args):
-    from . import invariants
-
-    k = invariants.pi_kernel(p)
+    k = bsscale.pi_kernel(p)
     return str(k), {"kernel_exponent": k}
 
 
 @_command("moller", _arg("--kmax", type=_positive, default=8), _arg("word"), notice=True)
 def _moller(p, args):
-    from . import invariants
-
     word = parse_word(args.word)
-    seq, stable = invariants.moller_stabilization(p, word, args.kmax)
-    target = invariants.scale(p, word).value
+    seq, stable = bsscale.moller_stabilization(p, word, args.kmax)
+    target = bsscale.scale(p, word).value
     ratio = str(seq[-1] // seq[-2]) if len(seq) > 1 and seq[-2] and seq[-1] % seq[-2] == 0 else "?"
     verdict = "OK" if stable else "DIAG ratios not stabilized at bound"
     return f"{' '.join(str(v) for v in seq)} | ratio {ratio} | scale {target} {verdict}", {
@@ -294,21 +282,17 @@ def _moller(p, args):
     notice=True,
 )
 def _trace(p, args):
-    from . import graph
-
-    val = graph.trace(p, parse_word(args.word), start=args.start, h=args.h)
+    val = bsscale.trace(p, parse_word(args.word), start=args.start, h=args.h)
     return str(val), {"trace": str(val)}
 
 
 @_command("omega-edges", _arg("--levels", type=_nonnegative, default=3), _DOT, notice=True)
 def _omega_edges(p, args):
-    from . import graph
-
-    nodes = graph.nodes_through(p, args.levels)
-    _write_dot(args, lambda: graph.to_dot(p, args.levels))
+    nodes = bsscale.nodes_through(p, args.levels)
+    _write_dot(args, lambda: bsscale.to_dot(p, args.levels))
     edge_rows = []
     for nd in nodes:
-        for eps, target in graph.edges_from(p, nd.value):
+        for eps, target in bsscale.edges_from(p, nd.value):
             edge_rows.append((nd.value, "t" if eps > 0 else "t^-1", target))
     return "\n".join(f"{x} {lab} {y}" for x, lab, y in edge_rows), {
         "nodes": [
@@ -321,17 +305,13 @@ def _omega_edges(p, args):
 
 @_command("omega-dist", _arg("x", type=int), _arg("y", type=int), notice=True)
 def _omega_dist(p, args):
-    from . import graph
-
-    d = graph.shortest_path_len(p, args.x, args.y)
+    d = bsscale.shortest_path_len(p, args.x, args.y)
     return str(d), {"distance": d}
 
 
 @_command("orbit", _arg("word"), notice=True)
 def _orbit(p, args):
-    from . import invariants
-
-    val = invariants.orbit_order(p, parse_word(args.word))
+    val = bsscale.orbit_order(p, parse_word(args.word))
     return str(val), {"orbit_order": str(val)}
 
 
@@ -339,9 +319,7 @@ def _orbit(p, args):
     "orbit-brute", _arg("--dmax", type=_nonnegative, default=None), _arg("word"), notice=True
 )
 def _orbit_brute(p, args):
-    from . import cosets
-
-    val = cosets.orbit_order_bruteforce(p, parse_word(args.word), args.dmax)
+    val = bsscale.orbit_order_bruteforce(p, parse_word(args.word), args.dmax)
     return "none" if val is None else str(val), {"orbit_order": None if val is None else str(val)}
 
 
@@ -351,19 +329,15 @@ def _orbit_brute(p, args):
     _DOT,
 )
 def _ball(p, args):
-    from . import cosets
-
-    table = cosets.enumerate_ball(p, args.radius, budget=args.budget)
-    _write_dot(args, lambda: cosets.export_dot(table))
+    table = bsscale.enumerate_ball(p, args.radius, budget=args.budget)
+    _write_dot(args, lambda: bsscale.export_dot(table))
     text = f"vertices {len(table.vertices)} edges {len(table.edges)} boundary {len(table.boundary)}"
     return text, table.as_dict()
 
 
 @_command("census", _arg("--radius", type=_nonnegative, required=True), notice=True)
 def _census(p, args):
-    from . import cosets
-
-    pairs = sorted(cosets.orbit_census(p, args.radius, budget=args.budget).items())
+    pairs = sorted(bsscale.orbit_census(p, args.radius, budget=args.budget).items())
     return " ".join(f"{order}:{count}" for order, count in pairs), {
         "census": [[order, count] for order, count in pairs]
     }
@@ -371,21 +345,16 @@ def _census(p, args):
 
 @_command("structure", _arg("word", nargs="?", default=None), notice=True)
 def _structure(p, args):
-    from . import invariants
-
     word = parse_word(args.word) if args.word is not None else None
-    payload = invariants.structure_report(p, word).as_dict()
+    payload = bsscale.structure_report(p, word).as_dict()
     return "\n".join(f"{key}: {_text_value(v)}" for key, v in payload.items()), payload
-
 
 
 @_command("matrix", _arg("word"))
 def _matrix(p, args):
-    from .normal_forms import bs1n_matrix, bs1n_normal_form
-
     word = parse_word(args.word)
-    mat = bs1n_matrix(p, word)
-    neg, q, pos = bs1n_normal_form(p, word)
+    mat = bsscale.bs1n_matrix(p, word)
+    neg, q, pos = bsscale.bs1n_normal_form(p, word)
     rows = [[str(mat.top_left), str(mat.top_right)], ["0", "1"]]
     return f"[[{rows[0][0]}, {rows[0][1]}], [0, 1]] | t^-{neg} a^{q} t^{pos}", {
         "matrix": rows,
@@ -397,9 +366,7 @@ def _matrix(p, args):
 
 @_command("scale-set", _arg("--rho-max", type=_nonnegative, required=True), notice=True)
 def _scale_set(p, args):
-    from . import invariants
-
-    values = sorted(invariants.scale_value_set(p, args.rho_max))
+    values = sorted(bsscale.scale_value_set(p, args.rho_max))
     return " ".join(str(v) for v in values), {"values": [str(v) for v in values]}
 
 

@@ -122,17 +122,14 @@ def orbit_order_bruteforce(
     return _scan_into_a(p, invert_syllables(*ws), ws, d_max)
 
 
-def index_bruteforce(
-    p: GroupParams, w: str, k: int, d_max: int | None = None
-) -> int | None:
-    """Minimal e in 1..d_max with w^k a^e w^-k a power of a: the generator
-    exponent of <a> intersect w^-k <a> w^k, whose value is the index
-    [<a> : <a> intersect w^-k <a> w^k].  None if the scan bound is passed.
+def index_bruteforce(p: GroupParams, w: str, k: int) -> int | None:
+    """Minimal e >= 1 with w^k a^e w^-k a power of a: the generator exponent
+    of <a> intersect w^-k <a> w^k, whose value is the index
+    [<a> : <a> intersect w^-k <a> w^k].  None if ``default_scan_bound`` is
+    passed.
     """
-    if d_max is None:
-        d_max = default_scan_bound(p, w, k)
     wk = _power_syllables(*word_syllables(w), k)
-    return _scan_into_a(p, wk, invert_syllables(*wk), d_max)
+    return _scan_into_a(p, wk, invert_syllables(*wk), default_scan_bound(p, w, k))
 
 
 def _scan_into_a(p: GroupParams, x, y, d_max: int) -> int | None:

@@ -33,11 +33,12 @@ class ElementNormalForm:
     syllables: CosetId
     tail: int
 
+    def word_syllables(self) -> tuple[list[int], list[int]]:
+        """The syllable form (exps, signs) of ``to_word()``."""
+        return [c for c, _ in self.syllables] + [self.tail], [s for _, s in self.syllables]
+
     def to_word(self) -> Word:
-        return syllables_to_word(
-            [c for c, _ in self.syllables] + [self.tail],
-            [s for _, s in self.syllables],
-        )
+        return syllables_to_word(*self.word_syllables())
 
 
 def element_normal_form(p: GroupParams, w: str) -> ElementNormalForm:

@@ -139,6 +139,13 @@ def format_word(w: str) -> str:
             _power_token(run[0].lower(), len(run) if run[0] in "at" else -len(run))
             for run in _LETTER_RUNS.findall(w)
         )
+    return format_syllables(exps, signs)
+
+
+def format_syllables(exps: list[int], signs: list[int]) -> str:
+    """``format_word`` of the word with syllables (exps, signs), each a run
+    written in one letter, read off the syllables without building letters.
+    """
     tokens = [_power_token("a", exps[0])]
     k = 0
     while k < len(signs):

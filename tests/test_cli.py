@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,8 +17,12 @@ from bsscale import (
     enumerate_ball,
     export_dot,
 )
+from bsscale import normal_forms, selfcheck
+from bsscale import words as words_module
 from bsscale.cli import run
 from bsscale.graph import to_dot
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def invoke(argv):
@@ -149,6 +156,29 @@ class TestBasicCommands:
     def test_scale_set(self):
         code, out, _ = invoke(["--group", "2,3", "scale-set", "--rho-max", "2"])
         assert code == 0 and out == "1 2 3 4 9\n"
+
+
+class TestHugeAnswers:
+    """reduce and nf print an answer from its syllables, never as letters:
+    here 3^20 letters, about 3.5 GB."""
+
+    @pytest.mark.parametrize(
+        "cmd,payload",
+        [
+            ("reduce", {"word": "a^3486784401"}),
+            ("nf", {"syllables": [], "tail": 3486784401, "word": "a^3486784401"}),
+        ],
+    )
+    def test_answer_not_written_out(self, cmd, payload, monkeypatch):
+        def refuse(exps, signs):
+            raise AssertionError("answer written out as letters")
+
+        monkeypatch.setattr(words_module, "syllables_to_word", refuse)
+        monkeypatch.setattr(normal_forms, "syllables_to_word", refuse)
+        argv = ["--group", "1,3", cmd, "t^20 a T^20"]
+        assert invoke(argv) == (0, "a^3486784401\n", "")
+        code, out, err = invoke(["--output", "json"] + argv)
+        assert code == 0 and err == "" and json.loads(out) == payload
 
 
 class TestJsonMode:
@@ -318,6 +348,15 @@ class TestSubcommandHelp:
         assert capsys.readouterr().out.splitlines()[0] == f"usage: bsscale {name} {usage}"
 
 
+class TestHelpOutput:
+    @pytest.mark.parametrize("argv", [["--help"], ["scale", "--help"]])
+    def test_help_goes_to_out(self, argv, capsys):
+        code, out, err = invoke(argv)
+        assert code == 0 and err == ""
+        assert out.startswith(" ".join(["usage: bsscale"] + argv[:-1]))
+        assert capsys.readouterr() == ("", "")
+
+
 class TestNotices:
     def test_discrete_notice_on_stderr(self):
         _, out, err = invoke(["--group", "3,3", "scale", "t"])
@@ -363,3 +402,26 @@ class TestSelfcheck:
         d = json.loads(out)
         assert d["failures"] == 0
         assert all(r["ok"] for r in d["results"])
+
+    def test_failing_suite_exits_4(self, monkeypatch):
+        suites = [("always fails", "1 case", lambda rng: "case 7")]
+        monkeypatch.setattr(selfcheck, "_SUITES", suites)
+        code, out, _ = invoke(["selfcheck"])
+        assert code == 4
+        assert out.splitlines() == ["FAIL: always fails (case 7)", "0/1 suites passed"]
+        code, out, _ = invoke(["--output", "json", "selfcheck"])
+        assert code == 4 and json.loads(out)["failures"] == 1
+
+
+class TestMain:
+    @pytest.mark.parametrize("group,code,out", [("2,3", 0, "2\n"), ("0,3", 3, "")])
+    def test_module_entry_point(self, group, code, out):
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        res = subprocess.run(
+            [sys.executable, "-m", "bsscale.cli", "--group", group, "scale", "t"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert (res.returncode, res.stdout) == (code, out)
+        assert res.stderr.startswith("domain error: ") == (code == 3)

@@ -166,6 +166,9 @@ class TestOrbitOrder:
         assert p.g % gp == 0
         assert d == gp * p.l_over_m**r * p.l_over_n**s
 
+    def test_factorization_rejects_other_primes(self):
+        assert orbit_order_factorization(P23, 5) is None
+
 
 class TestScaleValueSet:
     def test_coprime_pair(self):
@@ -212,6 +215,18 @@ class TestStructureReport:
         assert rep.swap_applied
         assert rep.primes_vplus == (3,)
         assert rep.primes_vminus == (2,)
+
+    def test_composite_ratio(self):
+        # scale 6 in BS(1, 6): the local structure is Z_2 x Z_3
+        rep = structure_report(GroupParams(1, 6))
+        assert rep.primes_vplus == ()
+        assert rep.primes_vminus == (2, 3)
+
+    def test_composite_ratio_swapped(self):
+        rep = structure_report(GroupParams(1, 30), "T")
+        assert rep.swap_applied
+        assert rep.primes_vplus == (2, 3, 5)
+        assert rep.primes_vminus == ()
 
     def test_prime_sets_disjoint(self):
         for p in (P23, P46, GroupParams(6, 10), GroupParams(12, 18)):

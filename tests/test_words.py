@@ -35,7 +35,12 @@ from bsscale import (
     trace,
 )
 from bsscale import words as words_module
-from bsscale.words import check_traceable, free_reduce_syllables, word_syllables
+from bsscale.words import (
+    check_traceable,
+    format_syllables,
+    free_reduce_syllables,
+    word_syllables,
+)
 
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
@@ -363,6 +368,13 @@ class TestWordSyllables:
                 assert type(c) is Word
                 assert c == w
                 assert word_syllables(c) == word_syllables(w)
+
+    @given(groups, token_text)
+    @settings(max_examples=150)
+    def test_format_syllables_matches_format_word(self, p, text):
+        # every built Word but the parsed one writes each a run in one letter
+        for w in built_words(p, text)[1:]:
+            assert format_syllables(*word_syllables(w)) == format_word(w)
 
     def test_behaves_as_its_letters(self):
         w = parse_word("t a^2 T A")
