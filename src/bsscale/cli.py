@@ -63,6 +63,23 @@ _nonnegative = _int_at_least(0, "nonnegative")  # budget, radius, levels, rho-ma
 _positive = _int_at_least(1, "positive")  # kmax
 
 
+class _LazyParsers(dict):
+    """The subcommand map argparse looks the chosen command up in
+    (``_SubParsersAction._name_parser_map``, also the action's ``choices``).
+    Every command name is a key from the start, so usage, top-level
+    ``--help`` and the invalid-choice message, which read only the keys,
+    list them all; a command's parser is built on its first lookup, so a
+    run builds only the one it uses."""
+
+    def __getitem__(self, name: str) -> _Parser:
+        parser = super().__getitem__(name)
+        if parser is None:
+            parser = self[name] = _Parser(prog=f"bsscale {name}")
+            for names, kwargs in _COMMANDS[name][1]:
+                parser.add_argument(*names, **kwargs)
+        return parser
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="bsscale", description=__doc__)
     top.add_argument("--group", metavar="M,N", help="group parameters, e.g. 2,3")
@@ -74,10 +91,7 @@ def _build_parser() -> _Parser:
         help="vertex budget for tree balls",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (_, arguments, _, _) in _COMMANDS.items():
-        cmd = sub.add_parser(name)
-        for names, kwargs in arguments:
-            cmd.add_argument(*names, **kwargs)
+    sub._name_parser_map = sub.choices = _LazyParsers.fromkeys(_COMMANDS)
     return top
 
 

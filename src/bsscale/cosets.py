@@ -9,27 +9,41 @@ independently of the intersection-graph calculus.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import BudgetError, InvariantError
 from .invariants import orbit_order_factorization, orbit_order_syllables
 from .normal_forms import CosetId, coset_of, coset_word
-from .params import DEFAULT_BUDGET, GroupParams
+from .params import DEFAULT_BUDGET, GroupParams, Record
 from .words import Word, format_word, invert_syllables, reduce_syllables, word_syllables
 
 
-@dataclass
-class CosetTable:
+class CosetTable(Record):
     """A radius-R ball: vertices in BFS order (children enumerated t-label
     first, then by transversal residue), tree edges (parent, child, label),
-    and the boundary vertex set."""
+    and the boundary vertex set.  Unlike the other records it is mutable and
+    unhashable, and its repr leaves out the vertex ``index``."""
 
-    params: GroupParams
-    radius: int
-    vertices: list[CosetId]
-    edges: list[tuple[int, int, int]]
-    boundary: frozenset[int]
-    index: dict[CosetId, int] = field(repr=False)
+    __slots__ = ("params", "radius", "vertices", "edges", "boundary", "index")
+    _hidden = ("index",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        params: GroupParams,
+        radius: int,
+        vertices: list[CosetId],
+        edges: list[tuple[int, int, int]],
+        boundary: frozenset[int],
+        index: dict[CosetId, int],
+    ):
+        self.params = params
+        self.radius = radius
+        self.vertices = vertices
+        self.edges = edges
+        self.boundary = boundary
+        self.index = index
 
     def vertex_word(self, v: int) -> Word:
         return coset_word(self.vertices[v])

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError, NoPathError, NotANodeError
-from .params import GroupParams
+from .params import GroupParams, Record
 from .words import check_traceable, word_syllables
 
 ROOT = "root"
@@ -30,29 +29,41 @@ INTERIOR = "interior"
 UNSTRUCTURED = "unstructured"
 
 
-@dataclass(frozen=True)
-class OmegaNode:
+class OmegaNode(Record):
     """A node of the graph: its integer value plus, outside the divisor
     case, its position (shape kind, ray/interior coordinates, level, and
     distance from the left boundary of its level)."""
 
-    value: int
-    kind: str
-    i: int | None = None
-    j: int | None = None
-    level: int | None = None
-    dist_left: int | None = None
+    __slots__ = ("value", "kind", "i", "j", "level", "dist_left")
+
+    def __init__(
+        self,
+        value: int,
+        kind: str,
+        i: int | None = None,
+        j: int | None = None,
+        level: int | None = None,
+        dist_left: int | None = None,
+    ):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "dist_left", dist_left)
 
 
-@dataclass(frozen=True)
-class TraceGeometry:
+class TraceGeometry(Record):
     """Endpoint data of a rooted trace: the maximum prefix t-exponent sum
     of the word, the nonpositive defect mu = rho - t_max, and the node the
     path ends on (at level R + t_max, distance |mu| from the left)."""
 
-    t_max: int
-    mu: int
-    end_node: OmegaNode
+    __slots__ = ("t_max", "mu", "end_node")
+
+    def __init__(self, t_max: int, mu: int, end_node: OmegaNode):
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "end_node", end_node)
 
 
 def step(p: GroupParams, x: int, eps: int) -> int:

@@ -11,11 +11,8 @@ the intersection graph and serves as an independent verification route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from .graph import step
-from .params import GroupParams
+from .params import GroupParams, Record
 from .words import (
     conjugacy_normalize,
     reduce_syllables,
@@ -23,50 +20,80 @@ from .words import (
     word_syllables,
 )
 
+# ``fractions`` pulls in ``decimal``: it is imported only where a Fraction
+# is built, and here for annotations alone.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class ScaleValue:
+
+class ScaleValue(Record):
     """base^exponent with the base picked by the sign of the t-exponent."""
 
-    base: int
-    exponent: int
-    value: int = field(init=False)
+    __slots__ = ("base", "exponent", "value")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.base**self.exponent)
+    def __init__(self, base: int, exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "value", base**exponent)
 
     def as_dict(self) -> dict:
         return {"base": self.base, "exponent": self.exponent, "value": str(self.value)}
 
 
-@dataclass(frozen=True)
-class ModularValue:
+class ModularValue(Record):
     """|m/n|^rho in lowest terms; equals scale(w) / scale(w^-1)."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.numerator, self.denominator)
 
     def as_dict(self) -> dict:
         return {"numerator": self.numerator, "denominator": self.denominator}
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     """Tidy-subgroup prime content and degenerate-case summary for the
     completion (optionally specialized to one element)."""
 
-    primes_vplus: tuple[int, ...]
-    primes_vminus: tuple[int, ...]
-    quotient_order_bound: int
-    flat_rank: int
-    kernel_exponent: int
-    swap_applied: bool
-    discrete: bool
-    quasi_centre: str = "ker Δ"
+    __slots__ = (
+        "primes_vplus",
+        "primes_vminus",
+        "quotient_order_bound",
+        "flat_rank",
+        "kernel_exponent",
+        "swap_applied",
+        "discrete",
+        "quasi_centre",
+    )
+
+    def __init__(
+        self,
+        primes_vplus: tuple[int, ...],
+        primes_vminus: tuple[int, ...],
+        quotient_order_bound: int,
+        flat_rank: int,
+        kernel_exponent: int,
+        swap_applied: bool,
+        discrete: bool,
+        quasi_centre: str = "ker Δ",
+    ):
+        object.__setattr__(self, "primes_vplus", primes_vplus)
+        object.__setattr__(self, "primes_vminus", primes_vminus)
+        object.__setattr__(self, "quotient_order_bound", quotient_order_bound)
+        object.__setattr__(self, "flat_rank", flat_rank)
+        object.__setattr__(self, "kernel_exponent", kernel_exponent)
+        object.__setattr__(self, "swap_applied", swap_applied)
+        object.__setattr__(self, "discrete", discrete)
+        object.__setattr__(self, "quasi_centre", quasi_centre)
 
     def as_dict(self) -> dict:
         return {
@@ -92,9 +119,13 @@ def scale(p: GroupParams, w: str) -> ScaleValue:
 
 
 def modular(p: GroupParams, w: str) -> ModularValue:
-    """Modular function value |m/n|^rho in lowest terms."""
-    f = Fraction(abs(p.m), abs(p.n)) ** t_exponent(w)
-    return ModularValue(f.numerator, f.denominator)
+    """Modular function value |m/n|^rho in lowest terms: with g the gcd,
+    the bases |m|/g and |n|/g are coprime, so their powers are too."""
+    rho = t_exponent(w)
+    num, den = abs(p.m) // p.g, abs(p.n) // p.g
+    if rho < 0:
+        num, den, rho = den, num, -rho
+    return ModularValue(num**rho, den**rho)
 
 
 def flat_rank(p: GroupParams) -> int:

@@ -16,22 +16,27 @@ t^(-p) a^q t^r form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .errors import DomainError, InvariantError
-from .params import GroupParams
+from .params import GroupParams, Record
 from .words import Word, reduce_syllables, syllables_to_word, word_syllables
+
+# ``fractions`` pulls in ``decimal``: it is imported only where a Fraction
+# is built, and here for annotations alone.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 CosetId = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class ElementNormalForm:
+class ElementNormalForm(Record):
     """Syllables (residue, sign) followed by a trailing a power."""
 
-    syllables: CosetId
-    tail: int
+    __slots__ = ("syllables", "tail")
+
+    def __init__(self, syllables: CosetId, tail: int):
+        object.__setattr__(self, "syllables", syllables)
+        object.__setattr__(self, "tail", tail)
 
     def word_syllables(self) -> tuple[list[int], list[int]]:
         """The syllable form (exps, signs) of ``to_word()``."""
@@ -113,17 +118,21 @@ def bs1n_normal_form(p: GroupParams, w: str) -> tuple[int, int, int]:
     return neg, q, pos
 
 
-@dataclass(frozen=True)
-class BS1nMatrix:
+class BS1nMatrix(Record):
     """Upper triangular matrix [[top_left, top_right], [0, 1]] with exact
     rational entries; top_left is a signed power of n and equals the
     determinant, top_right lies in Z[1/n]."""
 
-    top_left: Fraction
-    top_right: Fraction
+    __slots__ = ("top_left", "top_right")
+
+    def __init__(self, top_left: Fraction, top_right: Fraction):
+        object.__setattr__(self, "top_left", top_left)
+        object.__setattr__(self, "top_right", top_right)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+        from fractions import Fraction
+
         return (
             (self.top_left, self.top_right),
             (Fraction(0), Fraction(1)),
@@ -144,6 +153,8 @@ def bs1n_matrix(p: GroupParams, w: str) -> BS1nMatrix:
     """Image of w under a -> [[1,1],[0,1]], t -> [[mn,0],[0,1]]; a faithful
     homomorphism for |m| = 1.  (For m = 1 the t image is [[n,0],[0,1]]; the
     extra sign makes the relation hold for m = -1 as well.)"""
+    from fractions import Fraction
+
     _require_unit_m(p)
     mn = p.m * p.n
     exps, signs = word_syllables(w)

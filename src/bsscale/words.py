@@ -104,7 +104,11 @@ def parse_word(text: str) -> Word:
                 raise ParseError("expected integer after '^'", start)
             while i < ln and text[i] in _DIGITS:
                 i += 1
-            exp = int(text[start:i])
+            try:
+                exp = int(text[start:i])
+            except ValueError:  # past Python's int/str digit limit
+                digits = len(text[start:i].lstrip("+-"))
+                raise ParseError(f"exponent of {digits} digits too large to expand", tok) from None
         if ch in "AT":
             exp = -exp
         try:

@@ -17,7 +17,7 @@ from bsscale import (
     enumerate_ball,
     export_dot,
 )
-from bsscale import normal_forms, selfcheck
+from bsscale import cli, normal_forms, selfcheck
 from bsscale import words as words_module
 from bsscale.cli import run
 from bsscale.graph import to_dot
@@ -282,6 +282,8 @@ class TestExitCodes:
             (["ball", "--radius", "1", "--dot", ""], 1),
             (["omega-edges", "--dot", ""], 1),
             (["--budget", "-1", "ball", "--radius", "0"], 1),
+            (["rho", "t^" + "1" * 5000], 2),
+            (["reduce", "a^" + "1" * 5000], 2),
         ],
     )
     def test_documented_code_without_traceback(self, argv, expected, tmp_path, monkeypatch):
@@ -355,6 +357,42 @@ class TestHelpOutput:
         assert code == 0 and err == ""
         assert out.startswith(" ".join(["usage: bsscale"] + argv[:-1]))
         assert capsys.readouterr() == ("", "")
+
+
+class TestLazySubparsers:
+    COMMANDS = (
+        "{reduce,nf,rho,equal,scale,modular,flat-rank,kernel,moller,trace,omega-edges,"
+        "omega-dist,orbit,orbit-brute,ball,census,structure,matrix,scale-set,selfcheck}"
+    )
+
+    @pytest.mark.parametrize(
+        "argv,code,built",
+        [
+            (["--group", "2,3", "scale", "t"], 0, ["bsscale scale"]),
+            (["--gr", "2,3", "ball", "--radius", "0"], 0, ["bsscale ball"]),
+            (["--group", "scale", "scale", "t"], 1, ["bsscale scale"]),
+            (["moller", "--help"], 0, ["bsscale moller"]),
+            (["--help"], 0, []),
+            (["--group", "2,3", "frobnicate"], 1, []),
+        ],
+    )
+    def test_builds_only_the_chosen_parser(self, argv, code, built, monkeypatch):
+        progs = []
+        init = cli._Parser.__init__
+
+        def record(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            progs.append(parser.prog)
+
+        monkeypatch.setattr(cli._Parser, "__init__", record)
+        assert invoke(argv)[0] == code
+        assert progs == ["bsscale"] + built
+
+    def test_usage_and_choice_error_list_every_command(self):
+        _, out, _ = invoke(["--help"])
+        assert self.COMMANDS in " ".join(out.split())
+        _, _, err = invoke(["--group", "2,3", "frobnicate"])
+        assert self.COMMANDS[1:-1] in err.replace(" ", "").replace("'", "")
 
 
 class TestNotices:

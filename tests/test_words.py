@@ -88,6 +88,8 @@ class TestParse:
             ("t a^99999999999999999999", 2), ("A^-99999999999999999999", 0),
             # exponents take ASCII digits only
             ("a^\u00b2", 2), ("a^\u0661", 2), ("a^\uff13", 2), ("a^1\u00b2", 3),
+            # past Python's 4,300-digit int/str limit
+            ("a t^" + "1" * 5000, 2), ("A^-" + "9" * 4301, 0),
         ],
     )
     def test_errors_carry_offset(self, text, offset):
