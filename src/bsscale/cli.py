@@ -181,6 +181,12 @@ def run(argv: list[str], out=None, err=None) -> int:
     except (BudgetError, DomainError) as exc:
         print(f"domain error: {exc}", file=err)
         return _DOMAIN_EXIT
+    except ValueError as exc:  # Python's int/str digit limit is the output budget
+        if "for integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"domain error: answer has more than {limit} digits", file=err)
+        return _DOMAIN_EXIT
 
 
 def _dispatch(args, out, err) -> int:
@@ -230,11 +236,7 @@ def _reduce(p, args):
 def _nf(p, args):
     nf = bsscale.element_normal_form(p, parse_word(args.word))
     word = format_syllables(*nf.word_syllables())
-    return word or "e", {
-        "syllables": [list(s) for s in nf.syllables],
-        "tail": nf.tail,
-        "word": word,
-    }
+    return word or "e", {**nf.as_dict(), "word": word}
 
 
 @_command("rho", _arg("word"))

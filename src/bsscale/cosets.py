@@ -12,9 +12,9 @@ from collections import Counter
 
 from .errors import BudgetError, InvariantError
 from .invariants import orbit_order_factorization, orbit_order_syllables
-from .normal_forms import CosetId, coset_of, coset_word
+from .normal_forms import CosetId, ElementNormalForm, coset_of, coset_word
 from .params import DEFAULT_BUDGET, GroupParams, Record
-from .words import Word, format_word, invert_syllables, reduce_syllables, word_syllables
+from .words import Word, format_syllables, invert_syllables, reduce_syllables, word_syllables
 
 
 class CosetTable(Record):
@@ -29,28 +29,15 @@ class CosetTable(Record):
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(
-        self,
-        params: GroupParams,
-        radius: int,
-        vertices: list[CosetId],
-        edges: list[tuple[int, int, int]],
-        boundary: frozenset[int],
-        index: dict[CosetId, int],
-    ):
-        self.params = params
-        self.radius = radius
-        self.vertices = vertices
-        self.edges = edges
-        self.boundary = boundary
-        self.index = index
-
     def vertex_word(self, v: int) -> Word:
         return coset_word(self.vertices[v])
 
     def vertex_labels(self) -> list[str]:
         """Each vertex's compact coset word, "e" for the base vertex."""
-        return [format_word(self.vertex_word(v)) or "e" for v in range(len(self.vertices))]
+        return [
+            format_syllables(*ElementNormalForm(cid, 0).word_syllables()) or "e"
+            for cid in self.vertices
+        ]
 
     def as_dict(self) -> dict:
         return {
@@ -201,7 +188,7 @@ def orbit_census(
     table = enumerate_ball(p, radius, budget=budget)
     census: Counter[int] = Counter()
     for cid in table.vertices:
-        d = orbit_order_syllables(p, [c for c, _ in cid] + [0], [s for _, s in cid])
+        d = orbit_order_syllables(p, *ElementNormalForm(cid, 0).word_syllables())
         if orbit_order_factorization(p, d) is None:
             raise InvariantError(f"orbit order {d} outside the admissible shape")
         census[d] += 1

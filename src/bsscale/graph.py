@@ -35,22 +35,7 @@ class OmegaNode(Record):
     distance from the left boundary of its level)."""
 
     __slots__ = ("value", "kind", "i", "j", "level", "dist_left")
-
-    def __init__(
-        self,
-        value: int,
-        kind: str,
-        i: int | None = None,
-        j: int | None = None,
-        level: int | None = None,
-        dist_left: int | None = None,
-    ):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "dist_left", dist_left)
+    _defaults = {"i": None, "j": None, "level": None, "dist_left": None}
 
 
 class TraceGeometry(Record):
@@ -59,11 +44,6 @@ class TraceGeometry(Record):
     path ends on (at level R + t_max, distance |mu| from the left)."""
 
     __slots__ = ("t_max", "mu", "end_node")
-
-    def __init__(self, t_max: int, mu: int, end_node: OmegaNode):
-        object.__setattr__(self, "t_max", t_max)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "end_node", end_node)
 
 
 def step(p: GroupParams, x: int, eps: int) -> int:

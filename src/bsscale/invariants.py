@@ -33,9 +33,7 @@ class ScaleValue(Record):
     __slots__ = ("base", "exponent", "value")
 
     def __init__(self, base: int, exponent: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "value", base**exponent)
+        self._set_fields(base, exponent, base**exponent)
 
     def as_dict(self) -> dict:
         return {"base": self.base, "exponent": self.exponent, "value": str(self.value)}
@@ -46,18 +44,11 @@ class ModularValue(Record):
 
     __slots__ = ("numerator", "denominator")
 
-    def __init__(self, numerator: int, denominator: int):
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
     @property
     def fraction(self) -> Fraction:
         from fractions import Fraction
 
         return Fraction(self.numerator, self.denominator)
-
-    def as_dict(self) -> dict:
-        return {"numerator": self.numerator, "denominator": self.denominator}
 
 
 class StructureReport(Record):
@@ -74,38 +65,7 @@ class StructureReport(Record):
         "discrete",
         "quasi_centre",
     )
-
-    def __init__(
-        self,
-        primes_vplus: tuple[int, ...],
-        primes_vminus: tuple[int, ...],
-        quotient_order_bound: int,
-        flat_rank: int,
-        kernel_exponent: int,
-        swap_applied: bool,
-        discrete: bool,
-        quasi_centre: str = "ker Δ",
-    ):
-        object.__setattr__(self, "primes_vplus", primes_vplus)
-        object.__setattr__(self, "primes_vminus", primes_vminus)
-        object.__setattr__(self, "quotient_order_bound", quotient_order_bound)
-        object.__setattr__(self, "flat_rank", flat_rank)
-        object.__setattr__(self, "kernel_exponent", kernel_exponent)
-        object.__setattr__(self, "swap_applied", swap_applied)
-        object.__setattr__(self, "discrete", discrete)
-        object.__setattr__(self, "quasi_centre", quasi_centre)
-
-    def as_dict(self) -> dict:
-        return {
-            "primes_vplus": list(self.primes_vplus),
-            "primes_vminus": list(self.primes_vminus),
-            "quotient_order_bound": self.quotient_order_bound,
-            "flat_rank": self.flat_rank,
-            "kernel_exponent": self.kernel_exponent,
-            "swap_applied": self.swap_applied,
-            "discrete": self.discrete,
-            "quasi_centre": self.quasi_centre,
-        }
+    _defaults = {"quasi_centre": "ker Δ"}
 
 
 def scale(p: GroupParams, w: str) -> ScaleValue:

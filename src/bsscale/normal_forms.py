@@ -34,10 +34,6 @@ class ElementNormalForm(Record):
 
     __slots__ = ("syllables", "tail")
 
-    def __init__(self, syllables: CosetId, tail: int):
-        object.__setattr__(self, "syllables", syllables)
-        object.__setattr__(self, "tail", tail)
-
     def word_syllables(self) -> tuple[list[int], list[int]]:
         """The syllable form (exps, signs) of ``to_word()``."""
         return [c for c, _ in self.syllables] + [self.tail], [s for _, s in self.syllables]
@@ -124,10 +120,6 @@ class BS1nMatrix(Record):
     determinant, top_right lies in Z[1/n]."""
 
     __slots__ = ("top_left", "top_right")
-
-    def __init__(self, top_left: Fraction, top_right: Fraction):
-        object.__setattr__(self, "top_left", top_left)
-        object.__setattr__(self, "top_right", top_right)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:

@@ -19,30 +19,58 @@ DEFAULT_BUDGET = 200_000
 
 
 def _rebuild(cls, values: tuple):
-    """Unpickle or copy a Record: set its fields without ``__init__``."""
+    """Unpickle or copy a Record from its field values, in slot order."""
     obj = cls.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(obj, name, value)
+    cls._set_fields(obj, *values)
     return obj
+
+
+def _make_setter(cls, name: str):
+    """Write the method ``name(self, <fields in slot order>)`` that sets
+    every field of ``cls``, with the defaults in ``_defaults``, as
+    ``dataclasses`` and ``namedtuple`` do: build its source once per class
+    and exec it.  Each field is set through its slot descriptor, past the
+    frozen ``__setattr__``."""
+    params = ", ".join(
+        f"{field}=_defaults[{field!r}]" if field in cls._defaults else field
+        for field in cls.__slots__
+    )
+    body = "".join(f"\n    _set_{field}(self, {field})" for field in cls.__slots__)
+    namespace = {f"_set_{field}": getattr(cls, field).__set__ for field in cls.__slots__}
+    namespace["_defaults"] = cls._defaults
+    exec(f"def {name}(self, {params}):{body}", namespace)
+    setter = namespace[name]
+    setter.__qualname__ = f"{cls.__qualname__}.{name}"
+    setter.__module__ = cls.__module__
+    return setter
 
 
 class Record:
     """Base of the package's value classes.
 
-    A subclass lists its fields in ``__slots__`` and sets them in its own
-    ``__init__`` with ``object.__setattr__``.  Records are frozen, compare
-    equal only to a record of the same class with equal fields, hash and
-    print their fields in slot order (leaving out those named in
-    ``_hidden``), and copy and pickle by field value.  Plain classes keep
-    what a CLI process imports small.
+    A subclass lists its fields in ``__slots__`` and the defaults of its
+    trailing fields in ``_defaults``.  Unless it defines its own
+    ``__init__``, Record writes one that takes the fields in slot order.  A
+    class that computes derived fields in its own ``__init__`` sets them
+    with ``_set_fields``, which Record writes the same way.
+    Records are frozen, compare equal only to a record of the same class
+    with equal fields, hash and print their fields in slot order (leaving
+    out those named in ``_hidden``), and copy and pickle by field value.
+    ``as_dict`` gives the fields by name, tuples as lists, for JSON.  Plain
+    classes keep what a CLI process imports small.
     """
 
     __slots__ = ()
     _hidden: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = property(operator.attrgetter(*cls.__slots__))
+        if "__init__" in cls.__dict__:
+            cls._set_fields = _make_setter(cls, "_set_fields")
+        else:
+            cls.__init__ = cls._set_fields = _make_setter(cls, "__init__")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -67,6 +95,12 @@ class Record:
     def __reduce__(self):
         return _rebuild, (self.__class__, self._values)
 
+    def as_dict(self) -> dict:
+        return {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in zip(self.__slots__, self._values)
+        }
+
 
 class GroupParams(Record):
     """The pair (m, n) with derived invariants.
@@ -84,17 +118,8 @@ class GroupParams(Record):
         if m == 0 or n == 0:
             raise DomainError("group parameters m, n must be nonzero")
         am, an = abs(m), abs(n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "l", math.lcm(am, an))
-        object.__setattr__(self, "g", math.gcd(am, an))
-        object.__setattr__(self, "divisor_case", an % am == 0 or am % an == 0)
-        if an % am == 0:
-            object.__setattr__(self, "r", n // m)
-        elif am % an == 0:
-            object.__setattr__(self, "r", m // n)
-        else:
-            object.__setattr__(self, "r", None)
+        r = n // m if an % am == 0 else m // n if am % an == 0 else None
+        self._set_fields(m, n, math.lcm(am, an), math.gcd(am, an), r is not None, r)
 
     @property
     def l_over_n(self) -> int:

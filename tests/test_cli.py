@@ -284,12 +284,36 @@ class TestExitCodes:
             (["--budget", "-1", "ball", "--radius", "0"], 1),
             (["rho", "t^" + "1" * 5000], 2),
             (["reduce", "a^" + "1" * 5000], 2),
+            (["scale", "t^15000"], 3),
+            (["modular", "t^15000"], 3),
+            (["trace", "t^15000"], 3),
+            (["orbit", "t^15000"], 3),
+            (["--output", "json", "scale", "t^15000"], 3),
+            (["--output", "json", "orbit", "t^15000"], 3),
+            (["--group", "1,3", "reduce", "t^9100 a T^9100"], 3),
+            (["--group", "1,3", "nf", "t^9100 a T^9100"], 3),
+            (["--group", "1,3", "matrix", "t^9100 a T^9100"], 3),
+            (["--group", "1,3", "--output", "json", "nf", "t^9100 a T^9100"], 3),
         ],
     )
     def test_documented_code_without_traceback(self, argv, expected, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, err = invoke(["--group", "2,3"] + argv)
         assert code == expected and out == "" and err and "Traceback" not in err
+
+    def test_digit_limit_message(self):
+        code, out, err = invoke(["--group", "2,3", "scale", "t^15000"])
+        assert (code, out) == (3, "")
+        assert err == f"domain error: answer has more than {sys.get_int_max_str_digits()} digits\n"
+
+    def test_other_value_errors_escape(self, monkeypatch):
+        def broken(p, args):
+            raise ValueError("not a digit limit")
+
+        _, arguments, notice, group = cli._COMMANDS["rho"]
+        monkeypatch.setitem(cli._COMMANDS, "rho", (broken, arguments, notice, group))
+        with pytest.raises(ValueError, match="not a digit limit"):
+            invoke(["--group", "2,3", "rho", "t"])
 
     def test_unwritable_dot_message(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

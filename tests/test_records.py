@@ -6,6 +6,7 @@ they were dataclasses, so callers that log or compare them see no change.
 """
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 
 from bsscale import (
     BS1nMatrix,
+    CosetTable,
     ElementNormalForm,
     GroupParams,
     ModularValue,
@@ -175,3 +177,122 @@ def test_derived_fields_survive_copies():
     p = pickle.loads(pickle.dumps(GroupParams(4, 6)))
     assert (p.l, p.g, p.divisor_case, p.r, p.l_over_n, p.l_over_m) == (12, 2, False, None, 2, 3)
     assert copy.deepcopy(ScaleValue(3, 4)).value == 81
+
+
+# The constructor contract: parameter names, order and defaults (annotations
+# are not part of it), keyword construction, and the TypeError texts.
+REQUIRED = inspect.Parameter.empty
+SIGNATURES = {
+    GroupParams: (("m", REQUIRED), ("n", REQUIRED)),
+    ScaleValue: (("base", REQUIRED), ("exponent", REQUIRED)),
+    ModularValue: (("numerator", REQUIRED), ("denominator", REQUIRED)),
+    StructureReport: (
+        ("primes_vplus", REQUIRED),
+        ("primes_vminus", REQUIRED),
+        ("quotient_order_bound", REQUIRED),
+        ("flat_rank", REQUIRED),
+        ("kernel_exponent", REQUIRED),
+        ("swap_applied", REQUIRED),
+        ("discrete", REQUIRED),
+        ("quasi_centre", "ker Δ"),
+    ),
+    ElementNormalForm: (("syllables", REQUIRED), ("tail", REQUIRED)),
+    BS1nMatrix: (("top_left", REQUIRED), ("top_right", REQUIRED)),
+    OmegaNode: (
+        ("value", REQUIRED),
+        ("kind", REQUIRED),
+        ("i", None),
+        ("j", None),
+        ("level", None),
+        ("dist_left", None),
+    ),
+    TraceGeometry: (("t_max", REQUIRED), ("mu", REQUIRED), ("end_node", REQUIRED)),
+    CosetTable: (
+        ("params", REQUIRED),
+        ("radius", REQUIRED),
+        ("vertices", REQUIRED),
+        ("edges", REQUIRED),
+        ("boundary", REQUIRED),
+        ("index", REQUIRED),
+    ),
+}
+KEYWORDS = {
+    GroupParams: {"n": 3, "m": 2},
+    ScaleValue: {"exponent": 3, "base": 2},
+    ModularValue: {"denominator": 3, "numerator": 2},
+    StructureReport: {
+        "discrete": False,
+        "swap_applied": True,
+        "kernel_exponent": 0,
+        "flat_rank": 1,
+        "quotient_order_bound": 6,
+        "primes_vminus": (2,),
+        "primes_vplus": (3,),
+        "quasi_centre": "Z",
+    },
+    ElementNormalForm: {"tail": 5, "syllables": ((1, 1),)},
+    BS1nMatrix: {"top_right": Fraction(1, 3), "top_left": Fraction(3)},
+    OmegaNode: {"kind": "left_ray", "value": 2, "dist_left": 0, "level": 1, "i": 0},
+    TraceGeometry: {"end_node": OmegaNode(1, "root"), "mu": 0, "t_max": 2},
+    CosetTable: {
+        "index": {(): 0},
+        "boundary": frozenset({0}),
+        "edges": [],
+        "vertices": [()],
+        "radius": 0,
+        "params": GroupParams(2, 3),
+    },
+}
+CLASSES = sorted(SIGNATURES, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_constructor_signature(cls):
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.default) for p in params] == list(SIGNATURES[cls])
+    assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_keyword_construction(cls):
+    kwargs = KEYWORDS[cls]
+    obj = cls(**kwargs)
+    positional = cls(*(kwargs.get(name, default) for name, default in SIGNATURES[cls]))
+    assert obj == positional and repr(obj) == repr(positional)
+    for name in kwargs:
+        if name in cls.__slots__:
+            assert getattr(obj, name) == kwargs[name]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_constructor_type_errors(cls):
+    required = [name for name, default in SIGNATURES[cls] if default is REQUIRED]
+    with pytest.raises(TypeError) as missing:
+        cls(*range(len(required) - 1))
+    assert str(missing.value) == (
+        f"{cls.__name__}.__init__() missing 1 required positional argument: '{required[-1]}'"
+    )
+    with pytest.raises(TypeError) as unknown:
+        cls(**KEYWORDS[cls], bogus=1)
+    assert str(unknown.value) == (
+        f"{cls.__name__}.__init__() got an unexpected keyword argument 'bogus'"
+    )
+
+
+def test_structure_report_as_dict():
+    report = StructureReport((2,), (3, 5), 6, 1, 0, True, False)
+    assert report.as_dict() == {
+        "primes_vplus": [2],
+        "primes_vminus": [3, 5],
+        "quotient_order_bound": 6,
+        "flat_rank": 1,
+        "kernel_exponent": 0,
+        "swap_applied": True,
+        "discrete": False,
+        "quasi_centre": "ker Δ",
+    }
+    assert list(report.as_dict()) == list(StructureReport.__slots__)
+
+
+def test_modular_value_as_dict():
+    assert ModularValue(2, 3).as_dict() == {"numerator": 2, "denominator": 3}
