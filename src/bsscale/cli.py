@@ -6,7 +6,8 @@ to stderr.  ``ball`` and ``omega-edges`` also write their graph as DOT with
 ``--dot PATH``.  Exit codes: 0 success, 1 usage error (including an
 unwritable ``--dot`` path), 2 word parse error (including an exponent too
 large to expand), 3 domain error (bad parameters, size budget, graph
-queries outside their domain), 4 selfcheck failure.
+queries outside their domain, an answer past Python's int/str digit
+limit), 4 selfcheck failure.
 """
 
 from __future__ import annotations
@@ -63,24 +64,10 @@ _nonnegative = _int_at_least(0, "nonnegative")  # budget, radius, levels, rho-ma
 _positive = _int_at_least(1, "positive")  # kmax
 
 
-class _LazyParsers(dict):
-    """The subcommand map argparse looks the chosen command up in
-    (``_SubParsersAction._name_parser_map``, also the action's ``choices``).
-    Every command name is a key from the start, so usage, top-level
-    ``--help`` and the invalid-choice message, which read only the keys,
-    list them all; a command's parser is built on its first lookup, so a
-    run builds only the one it uses."""
-
-    def __getitem__(self, name: str) -> _Parser:
-        parser = super().__getitem__(name)
-        if parser is None:
-            parser = self[name] = _Parser(prog=f"bsscale {name}")
-            for names, kwargs in _COMMANDS[name][1]:
-                parser.add_argument(*names, **kwargs)
-        return parser
-
-
-def _build_parser() -> _Parser:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse the global options and the command name, then the rest with
+    that command's parser, the only one a run builds.  The command takes
+    ``nargs=argparse.PARSER``, as argparse's own subparsers do."""
     top = _Parser(prog="bsscale", description=__doc__)
     top.add_argument("--group", metavar="M,N", help="group parameters, e.g. 2,3")
     top.add_argument("--output", choices=("text", "json"), default="text")
@@ -90,9 +77,17 @@ def _build_parser() -> _Parser:
         default=DEFAULT_BUDGET,
         help="vertex budget for tree balls",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-    sub._name_parser_map = sub.choices = _LazyParsers.fromkeys(_COMMANDS)
-    return top
+    top.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS)
+    args, extra = top.parse_known_args(_glue_group(argv))
+    name, *rest = args.command
+    parser = _Parser(prog=f"bsscale {name}")
+    for names, kwargs in _COMMANDS[name][1]:
+        parser.add_argument(*names, **kwargs)
+    args, more = parser.parse_known_args(rest, args)
+    if extra or more:  # reported together, top level first, as by subparsers
+        top.error(f"unrecognized arguments: {' '.join(extra + more)}")
+    args.command = name
+    return args
 
 
 def _glue_group(argv: list[str]) -> list[str]:
@@ -168,7 +163,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         with contextlib.redirect_stdout(out):  # where argparse prints --help
-            args = _build_parser().parse_args(_glue_group(argv))
+            args = _parse(argv)
         return _dispatch(args, out, err)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
@@ -200,8 +195,8 @@ def _dispatch(args, out, err) -> int:
 
 
 # name -> (handler, arguments, notice, group), in registration order, which
-# is the subcommand order of --help.  A handler maps (GroupParams, args) to
-# its text and JSON outputs; ``arguments`` are the subcommand's add_argument
+# is the command order of --help.  A handler maps (GroupParams, args) to
+# its text and JSON outputs; ``arguments`` are the command's add_argument
 # declarations.  ``notice`` marks commands whose answers route through
 # discrete / divisor-case logic; text mode prints the case on stderr.
 # ``group`` is False for the one command that needs no --group.  Handlers

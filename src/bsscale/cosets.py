@@ -2,8 +2,10 @@
 
 A radius-R ball of the tree is enumerated as canonical left cosets of <a>
 (vertices), with the partial permutation action of the generators and
-orbit/index scans that decide everything through word reduction alone,
-independently of the intersection-graph calculus.
+orbit/index scans that decide through word reduction alone, independently
+of the intersection-graph calculus.  The exception is ``orbit_census``: it
+takes each vertex's orbit order from ``invariants.orbit_order_syllables``,
+the ``step`` route, and checks only that the order has the admissible shape.
 """
 
 from __future__ import annotations

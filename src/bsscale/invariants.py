@@ -109,29 +109,24 @@ def moller_sequence(p: GroupParams, w: str, k_max: int) -> list[int]:
     When |m| = |n| the completion is discrete and every index is reported
     as 1.
     """
-    return _index_sequence(p, conjugacy_normalize(p, w), k_max)
-
-
-def _index_sequence(p: GroupParams, z: str, k_max: int) -> list[int]:
-    if p.discrete:
-        return [1] * k_max
-    labels = word_syllables(z)[1]
-    out = []
-    x = 1
-    for _ in range(k_max):
-        for eps in labels:
-            x = step(p, x, eps)
-        out.append(x)
-    return out
+    return moller_stabilization(p, w, k_max)[0]
 
 
 def moller_stabilization(p: GroupParams, w: str, k_max: int) -> tuple[list[int], bool]:
     """The index sequence plus whether every ratio past the engineering
     bound 2N + 1 (N the t^-1 count of the normalized word) equals scale(w)."""
-    z = conjugacy_normalize(p, w)
-    seq = _index_sequence(p, z, k_max)
+    labels = word_syllables(conjugacy_normalize(p, w))[1]
+    if p.discrete:
+        seq = [1] * k_max
+    else:
+        seq = []
+        x = 1
+        for _ in range(k_max):
+            for eps in labels:
+                x = step(p, x, eps)
+            seq.append(x)
     target = scale(p, w).value
-    bound = 2 * z.count("T") + 1
+    bound = 2 * labels.count(-1) + 1
     ok = all(seq[k] == seq[k - 1] * target for k in range(bound, len(seq)))
     return seq, ok
 

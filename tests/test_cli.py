@@ -301,6 +301,22 @@ class TestExitCodes:
         code, out, err = invoke(["--group", "2,3"] + argv)
         assert code == expected and out == "" and err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([], "the following arguments are required: command"),
+            (
+                ["--group", "2,3", "scale", "--output", "json", "t"],
+                "unrecognized arguments: --output t",
+            ),
+            (["--group", "2,3", "ball", "--radius", "1", "extra"], "unrecognized arguments: extra"),
+            (["--foo", "--group", "2,3", "scale", "t", "bar"], "unrecognized arguments: --foo bar"),
+            (["--foo", "--group", "2,3", "ball"], "the following arguments are required: --radius"),
+        ],
+    )
+    def test_usage_error_message(self, argv, message):
+        assert invoke(argv) == (1, "", f"usage error: {message}\n")
+
     def test_digit_limit_message(self):
         code, out, err = invoke(["--group", "2,3", "scale", "t^15000"])
         assert (code, out) == (3, "")
@@ -375,12 +391,21 @@ class TestSubcommandHelp:
 
 
 class TestHelpOutput:
-    @pytest.mark.parametrize("argv", [["--help"], ["scale", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["scale", "--help"], ["-h"], ["scale", "-h"]])
     def test_help_goes_to_out(self, argv, capsys):
         code, out, err = invoke(argv)
         assert code == 0 and err == ""
         assert out.startswith(" ".join(["usage: bsscale"] + argv[:-1]))
         assert capsys.readouterr() == ("", "")
+
+    def test_short_flag_prints_the_same_help(self):
+        assert invoke(["-h"]) == invoke(["--help"])
+        usage = invoke(["-h"])[1].split("\n\n")[0]
+        assert " ".join(usage.split()).endswith(f" {TestLazySubparsers.COMMANDS} ...")
+
+    def test_help_names_the_digit_limit(self):
+        _, out, _ = invoke(["--help"])
+        assert "an answer past Python's int/str digit limit" in " ".join(out.split())
 
 
 class TestLazySubparsers:
