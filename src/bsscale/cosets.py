@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import BudgetError, InvariantError
+from .graph import _dot
 from .invariants import orbit_order_factorization, orbit_order_syllables
 from .normal_forms import CosetId, ElementNormalForm, coset_of, coset_word
 from .params import DEFAULT_BUDGET, GroupParams, Record
@@ -107,7 +108,7 @@ def enumerate_ball(
 def act(p: GroupParams, table: CosetTable, gen: str, v: int) -> int | None:
     """Vertex index of gen * (coset v), or None when the image falls outside
     the ball.  gen is one of 'a', 'A', 't', 'T'."""
-    if gen not in "aAtT":
+    if gen not in ("a", "A", "t", "T"):
         raise ValueError(f"generator must be one of a, A, t, T, got {gen!r}")
     image = coset_of(p, gen + table.vertex_word(v))
     return table.index.get(image)
@@ -200,16 +201,6 @@ def orbit_census(
 def export_dot(table: CosetTable) -> str:
     """DOT digraph of the ball: vertices labeled by compact coset words,
     t edges solid, t^-1 edges dashed."""
-    lines = [
-        f"digraph ball {{  // BS({table.params.m},{table.params.n}) "
-        f"radius {table.radius}"
-    ]
-    for v, label in enumerate(table.vertex_labels()):
-        lines.append(f'  v{v} [label="{label}"];')
-    for src, dst, eps in table.edges:
-        if eps > 0:
-            lines.append(f'  v{src} -> v{dst} [label="t"];')
-        else:
-            lines.append(f'  v{src} -> v{dst} [label="t^-1", style=dashed];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    p = table.params
+    comment = f"BS({p.m},{p.n}) radius {table.radius}"
+    return _dot("ball", comment, "v", enumerate(table.vertex_labels()), table.edges)

@@ -87,13 +87,15 @@ def trace(p: GroupParams, w: str, start: int = 1, h: int = 1) -> int:
     return _fold(p, labels, start, h) if labels else math.lcm(start, h)
 
 
-def _pure_power(v: int, base: int) -> int | None:
-    """i with v = base^i, or None.  Requires base >= 2."""
+def _strip(v: int, base: int) -> tuple[int, int]:
+    """(v // base^i, i) with i the largest exponent for which base^i divides
+    v; (v, 0) when base is 1.  Requires v >= 1."""
     i = 0
-    while v % base == 0:
-        v //= base
-        i += 1
-    return i if v == 1 else None
+    if base > 1:
+        while v % base == 0:
+            v //= base
+            i += 1
+    return v, i
 
 
 def classify_node(p: GroupParams, x: int) -> OmegaNode:
@@ -113,23 +115,19 @@ def classify_node(p: GroupParams, x: int) -> OmegaNode:
     if x == 1:
         return OmegaNode(value=1, kind=ROOT, level=0, dist_left=0)
     if x % am == 0:
-        i = _pure_power(x // am, alpha)
-        if i is not None:
+        v, i = _strip(x // am, alpha)
+        if v == 1:
             return OmegaNode(value=x, kind=LEFT_RAY, i=i, level=i + 1, dist_left=0)
     if x % an == 0:
-        i = _pure_power(x // an, beta)
-        if i is not None:
+        v, i = _strip(x // an, beta)
+        if v == 1:
             return OmegaNode(
                 value=x, kind=RIGHT_RAY, i=i, level=i + 1, dist_left=i + 1
             )
     if x % l == 0:
-        v = x // l
-        i = 0
-        while v % alpha == 0:
-            v //= alpha
-            i += 1
-        j = _pure_power(v, beta) if v > 1 else 0
-        if j is not None:
+        v, i = _strip(x // l, alpha)
+        v, j = _strip(v, beta)
+        if v == 1:
             return OmegaNode(
                 value=x, kind=INTERIOR, i=i, j=j, level=i + j + 2, dist_left=j + 1
             )
@@ -214,6 +212,8 @@ def level_nodes(p: GroupParams, level: int) -> list[OmegaNode]:
     """All nodes at a given level, ordered by distance from the left."""
     if p.divisor_case:
         raise DomainError("level layout undefined in the divisor case")
+    if level < 0:
+        raise DomainError(f"level {level} is negative; levels start at 0")
     if level == 0:
         return [classify_node(p, 1)]
     am, an, l = abs(p.m), abs(p.n), p.l
@@ -235,17 +235,26 @@ def to_dot(p: GroupParams, max_level: int) -> str:
     nodes ordered by (level, dist_left)."""
     nodes = nodes_through(p, max_level)
     values = {nd.value for nd in nodes}
-    lines = [f'digraph omega {{  // BS({p.m},{p.n})']
-    for nd in nodes:
-        lines.append(
-            f'  n{nd.value} [label="{nd.value} {nd.kind} '
-            f'L{nd.level} d{nd.dist_left}"];'
-        )
-    for nd in nodes:
-        for eps, target in edges_from(p, nd.value):
-            if target in values:
-                label = "t" if eps > 0 else "t^-1"
-                style = "" if eps > 0 else ", style=dashed"
-                lines.append(f'  n{nd.value} -> n{target} [label="{label}"{style}];')
+    labels = [
+        (nd.value, f"{nd.value} {nd.kind} L{nd.level} d{nd.dist_left}") for nd in nodes
+    ]
+    edges = [
+        (nd.value, target, eps)
+        for nd in nodes
+        for eps, target in edges_from(p, nd.value)
+        if target in values
+    ]
+    return _dot("omega", f"BS({p.m},{p.n})", "n", labels, edges)
+
+
+def _dot(name: str, comment: str, prefix: str, labels, edges) -> str:
+    """DOT digraph text: a header naming the graph with a comment, one line
+    per (id, label) node, then one per (source, target, eps) edge, t edges
+    solid and t^-1 edges dashed; node ids carry ``prefix``."""
+    lines = [f"digraph {name} {{  // {comment}"]
+    lines += [f'  {prefix}{v} [label="{label}"];' for v, label in labels]
+    for src, dst, eps in edges:
+        label = '"t"' if eps > 0 else '"t^-1", style=dashed'
+        lines.append(f"  {prefix}{src} -> {prefix}{dst} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

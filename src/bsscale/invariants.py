@@ -11,7 +11,7 @@ the intersection graph and serves as an independent verification route.
 
 from __future__ import annotations
 
-from .graph import step
+from .graph import _strip, step
 from .params import GroupParams, Record
 from .words import (
     conjugacy_normalize,
@@ -155,23 +155,17 @@ def orbit_order_factorization(
     p: GroupParams, d: int
 ) -> tuple[int, int, int] | None:
     """Decompose d as g' * (l/|m|)^r * (l/|n|)^s with g' dividing
-    gcd(|m|, |n|); None when d has no such shape."""
-    beta, alpha = p.l_over_m, p.l_over_n
-    for gp in range(1, p.g + 1):
-        if p.g % gp or d % gp:
-            continue
-        v = d // gp
-        r = 0
-        while beta > 1 and v % beta == 0:
-            v //= beta
-            r += 1
-        s = 0
-        while alpha > 1 and v % alpha == 0:
-            v //= alpha
-            s += 1
-        if v == 1:
-            return gp, r, s
-    return None
+    gcd(|m|, |n|); None when d < 1 or d has no such shape.
+
+    The two bases are coprime, so g' is what is left of d once both are
+    divided out as often as they go: r and s are as large as possible and
+    g' is the smallest admissible factor.
+    """
+    if d < 1:
+        return None
+    gp, r = _strip(d, p.l_over_m)
+    gp, s = _strip(gp, p.l_over_n)
+    return (gp, r, s) if p.g % gp == 0 else None
 
 
 def scale_value_set(p: GroupParams, rho_max: int) -> set[int]:
@@ -187,8 +181,7 @@ def _prime_divisors(v: int) -> tuple[int, ...]:
     while d * d <= v:
         if v % d == 0:
             out.append(d)
-            while v % d == 0:
-                v //= d
+            v = _strip(v, d)[0]
         d += 1
     if v > 1:
         out.append(v)

@@ -137,6 +137,10 @@ class TestBasicCommands:
         code, out, _ = invoke(["--group", "2,3", "census", "--radius", "1"])
         assert code == 0 and out == "1:1 2:2 3:3\n"
 
+    def test_census_large_common_factor(self):
+        code, out, _ = invoke(["--group", "1000,2000", "census", "--radius", "1"])
+        assert code == 0 and out == "1:1 1000:1000 2000:2000\n"
+
     def test_structure(self):
         code, out, _ = invoke(["--group", "4,6", "structure"])
         assert code == 0

@@ -106,6 +106,12 @@ class TestAct:
             for gen in "aAtT":
                 assert act(P23, t, gen, v) is not None
 
+    @pytest.mark.parametrize("gen", ["", "At", "aA", "tT", "x"])
+    def test_rejects_other_generators(self, gen):
+        t = enumerate_ball(P23, 2)
+        with pytest.raises(ValueError):
+            act(P23, t, gen, 0)
+
 
 class TestBruteForce:
     def test_orbit_scan_values(self):
@@ -199,6 +205,23 @@ class TestDot:
 
     def test_deterministic(self):
         assert export_dot(enumerate_ball(P23, 2)) == export_dot(enumerate_ball(P23, 2))
+
+    def test_radius_one_text(self):
+        assert export_dot(enumerate_ball(P23, 1)) == (
+            "digraph ball {  // BS(2,3) radius 1\n"
+            '  v0 [label="e"];\n'
+            '  v1 [label="t"];\n'
+            '  v2 [label="a t"];\n'
+            '  v3 [label="a^2 t"];\n'
+            '  v4 [label="T"];\n'
+            '  v5 [label="a T"];\n'
+            '  v0 -> v1 [label="t"];\n'
+            '  v0 -> v2 [label="t"];\n'
+            '  v0 -> v3 [label="t"];\n'
+            '  v0 -> v4 [label="t^-1", style=dashed];\n'
+            '  v0 -> v5 [label="t^-1", style=dashed];\n'
+            "}\n"
+        )
 
 
 def test_table_json_dump():

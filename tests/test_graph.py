@@ -26,6 +26,7 @@ from bsscale.graph import (
     RIGHT_RAY,
     ROOT,
     UNSTRUCTURED,
+    level_nodes,
     nodes_through,
     to_dot,
 )
@@ -139,6 +140,11 @@ class TestClassify:
         with pytest.raises(NotANodeError):
             classify_node(P23, 7)
 
+    @pytest.mark.parametrize("x", [0, -4])
+    def test_nonpositive_is_not_a_node(self, x):
+        with pytest.raises(NotANodeError):
+            classify_node(P23, x)
+
     def test_divisor_case_unstructured(self):
         nd = classify_node(P24, 5)
         assert nd.kind == UNSTRUCTURED and nd.level is None
@@ -229,6 +235,10 @@ class TestTraceGeometry:
         with pytest.raises(DomainError):
             trace_geometry(P23, "TT", 2)
 
+    def test_divisor_case_errors(self):
+        with pytest.raises(DomainError):
+            trace_geometry(P24, "t", 1)
+
     @given(st.text(alphabet="aAtT", max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_endpoint_certified_for_any_word(self, w):
@@ -260,3 +270,23 @@ def test_dot_export_is_deterministic_and_complete():
         assert f'n{value} [label="' in dot
     assert 'n1 -> n2 [label="t"]' in dot
     assert 'n1 -> n3 [label="t^-1", style=dashed]' in dot
+
+
+def test_dot_text():
+    assert to_dot(P23, 1) == (
+        "digraph omega {  // BS(2,3)\n"
+        '  n1 [label="1 root L0 d0"];\n'
+        '  n2 [label="2 left_ray L1 d0"];\n'
+        '  n3 [label="3 right_ray L1 d1"];\n'
+        '  n1 -> n2 [label="t"];\n'
+        '  n1 -> n3 [label="t^-1", style=dashed];\n'
+        '  n2 -> n3 [label="t^-1", style=dashed];\n'
+        '  n3 -> n2 [label="t"];\n'
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("level", [-1, -3])
+def test_negative_level_is_a_domain_error(level):
+    with pytest.raises(DomainError, match=f"level {level}"):
+        level_nodes(P23, level)

@@ -1,8 +1,10 @@
 """Scale, modular, flat rank, kernel, orbit orders, structure reports."""
 
 import json
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +34,8 @@ words = st.text(alphabet="aAtT", max_size=10)
 groups = st.sampled_from(
     [P23, P24, P46, GroupParams(3, 5), GroupParams(2, -3), GroupParams(-2, 3), P33]
 )
+nonzero = st.integers(min_value=-12, max_value=12).filter(bool)
+small_groups = st.builds(GroupParams, nonzero, nonzero)
 
 
 class TestScale:
@@ -168,6 +172,47 @@ class TestOrbitOrder:
 
     def test_factorization_rejects_other_primes(self):
         assert orbit_order_factorization(P23, 5) is None
+
+    @pytest.mark.parametrize("d", [0, -1, -6])
+    def test_factorization_rejects_nonpositive(self, d):
+        assert orbit_order_factorization(P23, d) is None
+
+    @given(small_groups, st.integers(min_value=1, max_value=5000))
+    @settings(max_examples=300)
+    def test_factorization_matches_search(self, p, d):
+        assert orbit_order_factorization(p, d) == search_factorization(p, d)
+
+    @given(
+        small_groups,
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=300)
+    def test_factorization_matches_search_on_shaped_values(self, p, gp, r, s):
+        d = math.gcd(gp, p.g) * p.l_over_m**r * p.l_over_n**s
+        assert orbit_order_factorization(p, d) == search_factorization(p, d)
+
+
+def search_factorization(p, d):
+    """Reference: the smallest g' dividing gcd(|m|, |n|) and d for which
+    d / g' is (l/|m|)^r (l/|n|)^s, found by trying every candidate."""
+    beta, alpha = p.l_over_m, p.l_over_n
+    for gp in range(1, p.g + 1):
+        if p.g % gp or d % gp:
+            continue
+        v = d // gp
+        r = 0
+        while beta > 1 and v % beta == 0:
+            v //= beta
+            r += 1
+        s = 0
+        while alpha > 1 and v % alpha == 0:
+            v //= alpha
+            s += 1
+        if v == 1:
+            return gp, r, s
+    return None
 
 
 class TestScaleValueSet:
