@@ -377,6 +377,12 @@ def _matrix(p, args):
 
 @_command("scale-set", _arg("--rho-max", type=_nonnegative, required=True), notice=True)
 def _scale_set(p, args):
+    base, limit = max(p.l_over_n, p.l_over_m), sys.get_int_max_str_digits()
+    if base > 1 and limit:
+        # The largest value is base^rho_max.  base^e has more than 4 limit
+        # bits, so more than limit digits, once e (bit_length - 1) > 4 limit;
+        # str raises run()'s digit-limit ValueError before the set is built.
+        str(base ** min(args.rho_max, 4 * limit // (base.bit_length() - 1) + 1))
     values = sorted(bsscale.scale_value_set(p, args.rho_max))
     return " ".join(str(v) for v in values), {"values": [str(v) for v in values]}
 

@@ -52,10 +52,14 @@ class CosetTable(Record):
         }
 
 
-def _ball_size(p: GroupParams, radius: int) -> int:
+def _ball_size(p: GroupParams, radius: int, cap: int) -> int:
+    """Vertex count of the radius ball, or a partial count above ``cap``
+    once the count passes it, so that a huge radius stops early."""
     deg = abs(p.m) + abs(p.n)
     total, shell = 1, deg
     for _ in range(radius):
+        if total > cap:
+            break
         total += shell
         shell *= deg - 1
     return total
@@ -70,11 +74,8 @@ def enumerate_ball(
     |m| neighbors u a^c t^-1 <a> (c mod |m|); one of them is u's parent, the
     rest are children, so interior vertices have degree |m| + |n|.
     """
-    expected = _ball_size(p, radius)
-    if expected > budget:
-        raise BudgetError(
-            f"radius {radius} ball has {expected} vertices, over budget {budget}"
-        )
+    if _ball_size(p, radius, budget) > budget:
+        raise BudgetError(f"radius {radius} ball has more vertices than the budget {budget}")
     base: CosetId = ()
     vertices = [base]
     index = {base: 0}

@@ -7,16 +7,21 @@ t^(-eps) <a^x> t^(eps) intersect <a> = <a^y>.  A single total transition
     step(x, +1) = |m| x / gcd(x, |n|)      step(x, -1) = |n| x / gcd(x, |m|)
 
 realizes every edge; intersecting with <a^h> instead of <a> replaces the
-result by its lcm with h.  When neither parameter divides the other, the
-reachable node set from 1 carries a ray/ray/interior geometry organized by
-levels, and path endpoints are determined by the maximum prefix t-exponent
-sum of the traced word.  Nothing is materialized; traversal is lazy.
+result by its lcm with h.  When neither parameter divides the other, put
+g = gcd(|m|, |n|) and take the coprime bases alpha = l/|n| and
+beta = l/|m|, both at least 2.  The nodes reachable from 1 are 1 and the
+g alpha^a beta^b with (a, b) != (0, 0): such a node sits at level a + b,
+b steps from the left, and the root 1 at level 0.  A t edge moves one node
+left along its level, or from the left end up to the left end of the next
+level; a t^-1 edge moves one node right, or from the right end up to the
+right end of the next level.  Path endpoints are determined by the maximum
+prefix t-exponent sum of the traced word.  Nothing is materialized;
+traversal is lazy.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .errors import DomainError, InvariantError, NoPathError, NotANodeError
 from .params import GroupParams, Record
@@ -101,36 +106,31 @@ def _strip(v: int, base: int) -> tuple[int, int]:
 def classify_node(p: GroupParams, x: int) -> OmegaNode:
     """Locate x in the node set reachable from 1.
 
-    Values have exactly one of the forms 1, |m| (l/|n|)^i, |n| (l/|m|)^i, or
-    l (l/|n|)^i (l/|m|)^j when neither parameter divides the other.  In the
-    divisor case the forms collapse and every positive x is reported with
-    kind "unstructured" and no geometry.
+    When neither parameter divides the other, the nodes are 1 (the root)
+    and x = g alpha^a beta^b with (a, b) != (0, 0), at level a + b and b
+    steps from the left: a left-ray node |m| alpha^i when b = 0 (i = a - 1),
+    a right-ray node |n| beta^i when a = 0 (i = b - 1), and otherwise an
+    interior node l alpha^i beta^j (i = a - 1, j = b - 1).  In the divisor
+    case these forms collapse and every positive x is reported with kind
+    "unstructured" and no geometry.
     """
     if x < 1:
         raise NotANodeError(f"node value must be positive, got {x}")
     if p.divisor_case:
         return OmegaNode(value=x, kind=UNSTRUCTURED)
-    am, an, l = abs(p.m), abs(p.n), p.l
-    alpha, beta = p.l_over_n, p.l_over_m
     if x == 1:
         return OmegaNode(value=1, kind=ROOT, level=0, dist_left=0)
-    if x % am == 0:
-        v, i = _strip(x // am, alpha)
-        if v == 1:
-            return OmegaNode(value=x, kind=LEFT_RAY, i=i, level=i + 1, dist_left=0)
-    if x % an == 0:
-        v, i = _strip(x // an, beta)
-        if v == 1:
-            return OmegaNode(
-                value=x, kind=RIGHT_RAY, i=i, level=i + 1, dist_left=i + 1
-            )
-    if x % l == 0:
-        v, i = _strip(x // l, alpha)
-        v, j = _strip(v, beta)
-        if v == 1:
-            return OmegaNode(
-                value=x, kind=INTERIOR, i=i, j=j, level=i + j + 2, dist_left=j + 1
-            )
+    if x % p.g == 0:
+        v, a = _strip(x // p.g, p.l_over_n)
+        v, b = _strip(v, p.l_over_m)
+        if v == 1 and a + b > 0:
+            if b == 0:
+                kind, i, j = LEFT_RAY, a - 1, None
+            elif a == 0:
+                kind, i, j = RIGHT_RAY, b - 1, None
+            else:
+                kind, i, j = INTERIOR, a - 1, b - 1
+            return OmegaNode(value=x, kind=kind, i=i, j=j, level=a + b, dist_left=b)
     raise NotANodeError(f"{x} is not a node of the intersection graph")
 
 
@@ -143,34 +143,26 @@ def edges_from(p: GroupParams, x: int) -> list[tuple[int, int]]:
 def shortest_path_len(p: GroupParams, x: int, y: int) -> int:
     """Length of the shortest directed path from x to y.
 
-    Both edge labels are traversed forward.  Levels never decrease along a
-    directed edge, so the search prunes anything deeper than y's level and
-    always terminates; exhausting the frontier means no directed path
-    exists.  Structured geometry only (errors in the divisor case).
+    Both edge labels are traversed forward.  Edges move along a level or up
+    one level at its ends (see the module docstring), so from level L1,
+    d1 steps from the left, to level L2 > L1, d2 steps from the left, a
+    shortest path climbs at the left end or at the right end:
+    (L2 - L1) + min(d1 + d2, (L1 - d1) + (L2 - d2)) edges.  Within one
+    level it is |d1 - d2| edges, and no directed path leads to a lower
+    level.  Structured geometry only (errors in the divisor case).
     """
     if p.divisor_case:
         raise DomainError(
             "shortest_path_len needs the structured graph; "
             "not defined when one parameter divides the other"
         )
-    classify_node(p, x)
-    target = classify_node(p, y)
-    if x == y:
-        return 0
-    max_level = target.level
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        cur = queue.popleft()
-        for nxt in (step(p, cur, 1), step(p, cur, -1)):
-            if nxt in dist:
-                continue
-            dist[nxt] = dist[cur] + 1  # seen; expanded only if not below y
-            if nxt == y:
-                return dist[nxt]
-            if classify_node(p, nxt).level <= max_level:
-                queue.append(nxt)
-    raise NoPathError(f"no directed path from {x} to {y}")
+    src, dst = classify_node(p, x), classify_node(p, y)
+    (l1, d1), (l2, d2) = (src.level, src.dist_left), (dst.level, dst.dist_left)
+    if l2 < l1:
+        raise NoPathError(f"no directed path from {x} to {y}")
+    if l2 == l1:
+        return abs(d1 - d2)
+    return (l2 - l1) + min(d1 + d2, (l1 - d1) + (l2 - d2))
 
 
 def trace_geometry(p: GroupParams, w: str, R: int) -> TraceGeometry:
@@ -209,20 +201,18 @@ def trace_geometry(p: GroupParams, w: str, R: int) -> TraceGeometry:
 
 
 def level_nodes(p: GroupParams, level: int) -> list[OmegaNode]:
-    """All nodes at a given level, ordered by distance from the left."""
+    """All nodes at a given level, ordered by distance from the left: the
+    root at level 0, and g alpha^(level - b) beta^b for b = 0..level."""
     if p.divisor_case:
         raise DomainError("level layout undefined in the divisor case")
     if level < 0:
         raise DomainError(f"level {level} is negative; levels start at 0")
     if level == 0:
         return [classify_node(p, 1)]
-    am, an, l = abs(p.m), abs(p.n), p.l
     alpha, beta = p.l_over_n, p.l_over_m
-    out = [am * alpha ** (level - 1)]
-    for j in range(level - 1):
-        out.append(l * alpha ** (level - 2 - j) * beta**j)
-    out.append(an * beta ** (level - 1))
-    return [classify_node(p, v) for v in out]
+    return [
+        classify_node(p, p.g * alpha ** (level - b) * beta**b) for b in range(level + 1)
+    ]
 
 
 def nodes_through(p: GroupParams, max_level: int) -> list[OmegaNode]:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import bsscale
 from bsscale import (
     DomainError,
     GroupParams,
@@ -323,6 +324,25 @@ class TestExitCodes:
 
     def test_digit_limit_message(self):
         code, out, err = invoke(["--group", "2,3", "scale", "t^15000"])
+        assert (code, out) == (3, "")
+        assert err == f"domain error: answer has more than {sys.get_int_max_str_digits()} digits\n"
+
+    @pytest.mark.parametrize("cmd", ["ball", "census"])
+    @pytest.mark.parametrize("radius", ["7000", "60000", "100000"])
+    def test_huge_radius_names_the_budget(self, cmd, radius):
+        code, out, err = invoke(["--group", "2,3", cmd, "--radius", radius])
+        assert (code, out) == (3, "")
+        assert err == (
+            f"domain error: radius {radius} ball has more vertices than the budget 200000\n"
+        )
+
+    @pytest.mark.parametrize("rho_max", ["15000", "1000000000"])
+    def test_scale_set_checks_the_digit_limit_first(self, rho_max, monkeypatch):
+        def refuse(p, rho_max):
+            raise AssertionError("scale set built past the digit limit")
+
+        monkeypatch.setattr(bsscale, "scale_value_set", refuse)
+        code, out, err = invoke(["--group", "2,3", "scale-set", "--rho-max", rho_max])
         assert (code, out) == (3, "")
         assert err == f"domain error: answer has more than {sys.get_int_max_str_digits()} digits\n"
 

@@ -149,6 +149,32 @@ class TestClassify:
         nd = classify_node(P24, 5)
         assert nd.kind == UNSTRUCTURED and nd.level is None
 
+    def test_coordinate_law(self):
+        # the node g alpha^a beta^b sits at level a + b, b steps from the left
+        for m in [*range(-12, 0), *range(1, 13)]:
+            for n in [*range(-12, 0), *range(1, 13)]:
+                p = GroupParams(m, n)
+                if p.divisor_case:
+                    continue
+                for a in range(7):
+                    for b in range(7):
+                        if a == b == 0:
+                            continue
+                        nd = classify_node(p, p.g * p.l_over_n**a * p.l_over_m**b)
+                        assert (nd.level, nd.dist_left) == (a + b, b)
+                        if b == 0:
+                            assert (nd.kind, nd.i, nd.j) == (LEFT_RAY, a - 1, None)
+                        elif a == 0:
+                            assert (nd.kind, nd.i, nd.j) == (RIGHT_RAY, b - 1, None)
+                        else:
+                            assert (nd.kind, nd.i, nd.j) == (INTERIOR, a - 1, b - 1)
+
+    @pytest.mark.parametrize("p", [GroupParams(6, 9), GroupParams(-9, 6), GroupParams(12, -18)])
+    def test_values_below_gcd_are_not_nodes(self, p):
+        for x in range(2, p.g):
+            with pytest.raises(NotANodeError):
+                classify_node(p, x)
+
 
 class TestEdges:
     def test_root_edges(self):
@@ -175,6 +201,14 @@ class TestDistances:
         with pytest.raises(DomainError):
             shortest_path_len(P24, 2, 4)
 
+    def test_deep_levels(self):
+        # BS(6,10): g = 2, alpha = 3, beta = 5; x is interior at level 60,
+        # 40 steps from the left
+        p = GroupParams(6, 10)
+        x = 2 * 3**20 * 5**40
+        assert shortest_path_len(p, 1, x) == 80
+        assert shortest_path_len(p, 2 * 5**10, x) == 70  # from the right ray, level 10
+
     @given(st.integers(min_value=0, max_value=5))
     @settings(deadline=None)
     def test_crossing_law_both_ways(self, i):
@@ -183,7 +217,18 @@ class TestDistances:
         assert shortest_path_len(P23, left, right) == i + 1
         assert shortest_path_len(P23, right, left) == i + 1
 
-    @pytest.mark.parametrize("p", [P23, P46, GroupParams(3, -5)])
+    @pytest.mark.parametrize(
+        "p",
+        [
+            P23,
+            P46,
+            GroupParams(3, -5),
+            GroupParams(2, 5),
+            GroupParams(-4, 6),
+            GroupParams(6, 10),
+            GroupParams(9, -6),
+        ],
+    )
     def test_matches_unpruned_bfs(self, p):
         nodes = [nd.value for nd in nodes_through(p, 3)]
         for x in nodes:
