@@ -75,7 +75,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         "--budget",
         type=_nonnegative,
         default=DEFAULT_BUDGET,
-        help="vertex budget for tree balls",
+        help="vertex budget for tree balls and graph listings",
     )
     top.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS)
     args, extra = top.parse_known_args(_glue_group(argv))
@@ -155,6 +155,16 @@ def _write_dot(args, render) -> None:
             fh.write(text)
     except OSError as exc:
         raise _UsageError(f"cannot write --dot file: {exc}") from None
+
+
+def _check_digits(base: int, exponent: int) -> None:
+    """Raise run()'s digit-limit ValueError when base^exponent has more
+    digits than Python's int/str limit, before an answer holding it is
+    computed.  base^e has more than 4 limit bits, so more than limit
+    digits, once e (bit_length - 1) > 4 limit: no larger power is formed."""
+    limit = sys.get_int_max_str_digits()
+    if base > 1 and limit:
+        str(base ** min(exponent, 4 * limit // (base.bit_length() - 1) + 1))
 
 
 def run(argv: list[str], out=None, err=None) -> int:
@@ -273,8 +283,12 @@ def _kernel(p, args):
 @_command("moller", _arg("--kmax", type=_positive, default=8), _arg("word"), notice=True)
 def _moller(p, args):
     word = parse_word(args.word)
+    sv = bsscale.scale(p, word)
+    # r_k >= s(w)^k: the scale is the least displacement index over compact
+    # open subgroups, so r_kmax has at least the digits of s(w)^kmax.
+    _check_digits(sv.base, sv.exponent * args.kmax)
     seq, stable = bsscale.moller_stabilization(p, word, args.kmax)
-    target = bsscale.scale(p, word).value
+    target = sv.value
     ratio = str(seq[-1] // seq[-2]) if len(seq) > 1 and seq[-2] and seq[-1] % seq[-2] == 0 else "?"
     verdict = "OK" if stable else "DIAG ratios not stabilized at bound"
     return f"{' '.join(str(v) for v in seq)} | ratio {ratio} | scale {target} {verdict}", {
@@ -299,18 +313,22 @@ def _trace(p, args):
 
 @_command("omega-edges", _arg("--levels", type=_nonnegative, default=3), _DOT, notice=True)
 def _omega_edges(p, args):
+    if not p.divisor_case and (args.levels + 1) * (args.levels + 2) // 2 > args.budget:
+        raise BudgetError(
+            f"levels {args.levels} graph has more nodes than the budget {args.budget}"
+        )
     nodes = bsscale.nodes_through(p, args.levels)
     _write_dot(args, lambda: bsscale.to_dot(p, args.levels))
     edge_rows = []
     for nd in nodes:
-        for eps, target in bsscale.edges_from(p, nd.value):
-            edge_rows.append((nd.value, "t" if eps > 0 else "t^-1", target))
+        for eps, lab in ((1, "t"), (-1, "t^-1")):
+            edge_rows.append((nd.value, lab, bsscale.step(p, nd.value, eps)))
     return "\n".join(f"{x} {lab} {y}" for x, lab, y in edge_rows), {
         "nodes": [
             {"value": nd.value, "kind": nd.kind, "level": nd.level, "dist_left": nd.dist_left}
             for nd in nodes
         ],
-        "edges": [[x, lab, y] for x, lab, y in edge_rows],
+        "edges": edge_rows,
     }
 
 
@@ -377,12 +395,7 @@ def _matrix(p, args):
 
 @_command("scale-set", _arg("--rho-max", type=_nonnegative, required=True), notice=True)
 def _scale_set(p, args):
-    base, limit = max(p.l_over_n, p.l_over_m), sys.get_int_max_str_digits()
-    if base > 1 and limit:
-        # The largest value is base^rho_max.  base^e has more than 4 limit
-        # bits, so more than limit digits, once e (bit_length - 1) > 4 limit;
-        # str raises run()'s digit-limit ValueError before the set is built.
-        str(base ** min(args.rho_max, 4 * limit // (base.bit_length() - 1) + 1))
+    _check_digits(max(p.l_over_n, p.l_over_m), args.rho_max)  # the largest value
     values = sorted(bsscale.scale_value_set(p, args.rho_max))
     return " ".join(str(v) for v in values), {"values": [str(v) for v in values]}
 

@@ -34,7 +34,8 @@ class NoPathError(DomainError):
 
 
 class BudgetError(RuntimeError):
-    """A size budget (tree-ball vertex count) would be exceeded."""
+    """A size budget (tree-ball vertex count, intersection-graph node count,
+    trial-division bound) would be exceeded."""
 
 
 class InvariantError(AssertionError):

@@ -15,8 +15,8 @@ b steps from the left, and the root 1 at level 0.  A t edge moves one node
 left along its level, or from the left end up to the left end of the next
 level; a t^-1 edge moves one node right, or from the right end up to the
 right end of the next level.  Path endpoints are determined by the maximum
-prefix t-exponent sum of the traced word.  Nothing is materialized;
-traversal is lazy.
+prefix t-exponent sum of the traced word.  Listings build each node from
+its coordinates (a, b); classify_node strips them out of outside values.
 """
 
 from __future__ import annotations
@@ -103,15 +103,25 @@ def _strip(v: int, base: int) -> tuple[int, int]:
     return v, i
 
 
-def classify_node(p: GroupParams, x: int) -> OmegaNode:
-    """Locate x in the node set reachable from 1.
+def _node(x: int, a: int, b: int) -> OmegaNode:
+    """The node x = g alpha^a beta^b at level a + b, b steps from the left:
+    the root 1 when a = b = 0, else a left ray (i = a - 1) when b = 0, a
+    right ray (i = b - 1) when a = 0, or interior (i, j = a - 1, b - 1)."""
+    if a + b == 0:
+        return OmegaNode(value=x, kind=ROOT, level=0, dist_left=0)
+    if b == 0:
+        kind, i, j = LEFT_RAY, a - 1, None
+    elif a == 0:
+        kind, i, j = RIGHT_RAY, b - 1, None
+    else:
+        kind, i, j = INTERIOR, a - 1, b - 1
+    return OmegaNode(value=x, kind=kind, i=i, j=j, level=a + b, dist_left=b)
 
-    When neither parameter divides the other, the nodes are 1 (the root)
-    and x = g alpha^a beta^b with (a, b) != (0, 0), at level a + b and b
-    steps from the left: a left-ray node |m| alpha^i when b = 0 (i = a - 1),
-    a right-ray node |n| beta^i when a = 0 (i = b - 1), and otherwise an
-    interior node l alpha^i beta^j (i = a - 1, j = b - 1).  In the divisor
-    case these forms collapse and every positive x is reported with kind
+
+def classify_node(p: GroupParams, x: int) -> OmegaNode:
+    """Locate x in the node set reachable from 1 by stripping g, alpha and
+    beta from it to find its coordinates (a, b).  In the divisor case
+    there are no coordinates: every positive x is reported with kind
     "unstructured" and no geometry.
     """
     if x < 1:
@@ -119,18 +129,12 @@ def classify_node(p: GroupParams, x: int) -> OmegaNode:
     if p.divisor_case:
         return OmegaNode(value=x, kind=UNSTRUCTURED)
     if x == 1:
-        return OmegaNode(value=1, kind=ROOT, level=0, dist_left=0)
+        return _node(1, 0, 0)
     if x % p.g == 0:
         v, a = _strip(x // p.g, p.l_over_n)
         v, b = _strip(v, p.l_over_m)
         if v == 1 and a + b > 0:
-            if b == 0:
-                kind, i, j = LEFT_RAY, a - 1, None
-            elif a == 0:
-                kind, i, j = RIGHT_RAY, b - 1, None
-            else:
-                kind, i, j = INTERIOR, a - 1, b - 1
-            return OmegaNode(value=x, kind=kind, i=i, j=j, level=a + b, dist_left=b)
+            return _node(x, a, b)
     raise NotANodeError(f"{x} is not a node of the intersection graph")
 
 
@@ -208,10 +212,10 @@ def level_nodes(p: GroupParams, level: int) -> list[OmegaNode]:
     if level < 0:
         raise DomainError(f"level {level} is negative; levels start at 0")
     if level == 0:
-        return [classify_node(p, 1)]
+        return [_node(1, 0, 0)]
     alpha, beta = p.l_over_n, p.l_over_m
     return [
-        classify_node(p, p.g * alpha ** (level - b) * beta**b) for b in range(level + 1)
+        _node(p.g * alpha ** (level - b) * beta**b, level - b, b) for b in range(level + 1)
     ]
 
 
@@ -231,8 +235,8 @@ def to_dot(p: GroupParams, max_level: int) -> str:
     edges = [
         (nd.value, target, eps)
         for nd in nodes
-        for eps, target in edges_from(p, nd.value)
-        if target in values
+        for eps in (1, -1)
+        if (target := step(p, nd.value, eps)) in values
     ]
     return _dot("omega", f"BS({p.m},{p.n})", "n", labels, edges)
 

@@ -11,6 +11,7 @@ the intersection graph and serves as an independent verification route.
 
 from __future__ import annotations
 
+from .errors import BudgetError
 from .graph import _strip, step
 from .params import GroupParams, Record
 from .words import (
@@ -175,10 +176,20 @@ def scale_value_set(p: GroupParams, rho_max: int) -> set[int]:
     }
 
 
+# _prime_divisors tries no divisor past this bound.  A cofactor with no
+# divisor up to it is prime when it is below (bound + 1)^2, and otherwise
+# the factoring is refused.
+_TRIAL_DIVISOR_BOUND = 10**6
+
+
 def _prime_divisors(v: int) -> tuple[int, ...]:
     out = []
     d = 2
     while d * d <= v:
+        if d > _TRIAL_DIVISOR_BOUND:
+            raise BudgetError(
+                f"factoring needs trial divisors past the bound {_TRIAL_DIVISOR_BOUND}"
+            )
         if v % d == 0:
             out.append(d)
             v = _strip(v, d)[0]

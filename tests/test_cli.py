@@ -15,10 +15,11 @@ from bsscale import (
     NoPathError,
     NotANodeError,
     WordConditionError,
+    edges_from,
     enumerate_ball,
     export_dot,
 )
-from bsscale import cli, normal_forms, selfcheck
+from bsscale import cli, graph, normal_forms, selfcheck
 from bsscale import words as words_module
 from bsscale.cli import run
 from bsscale.graph import to_dot
@@ -118,6 +119,22 @@ class TestBasicCommands:
         assert code == 0
         assert (code, out, err) == invoke(argv)
         assert path.read_bytes() == to_dot(GroupParams(m, n), 2).encode()
+
+    def test_omega_edges_never_strips(self, tmp_path, monkeypatch):
+        # the listed nodes are built from their coordinates, so neither the
+        # CLI nor to_dot classifies a value; edges_from still does
+        def refuse(v, base):
+            raise AssertionError("a listed node was stripped")
+
+        monkeypatch.setattr(graph, "_strip", refuse)
+        path = tmp_path / "omega.dot"
+        argv = ["--group", "2,3", "omega-edges", "--levels", "6"]
+        code, out, err = invoke(argv + ["--dot", str(path)])
+        assert (code, err) == (0, "") and out.count("\n") == 2 * 28
+        assert invoke(["--output", "json"] + argv)[0] == 0
+        assert path.read_bytes() == to_dot(GroupParams(2, 3), 6).encode()
+        with pytest.raises(AssertionError, match="stripped"):
+            edges_from(GroupParams(2, 3), 2)
 
     @pytest.mark.parametrize(
         "argv,expected",
@@ -345,6 +362,50 @@ class TestExitCodes:
         code, out, err = invoke(["--group", "2,3", "scale-set", "--rho-max", rho_max])
         assert (code, out) == (3, "")
         assert err == f"domain error: answer has more than {sys.get_int_max_str_digits()} digits\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["--group", "2,3", "omega-edges", "--levels", "100000", "--dot", "g.dot"],
+                "levels 100000 graph has more nodes than the budget 200000",
+            ),
+            (
+                ["--group", "2,1000000016000000063", "structure"],
+                "factoring needs trial divisors past the bound 1000000",
+            ),
+            (
+                ["--group", "2,3", "moller", "--kmax", "15000", "t"],
+                f"answer has more than {sys.get_int_max_str_digits()} digits",
+            ),
+        ],
+    )
+    def test_unbounded_inputs_exit_3_at_start(self, argv, message, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started past a budget")
+
+        for name in ("nodes_through", "to_dot", "moller_stabilization"):
+            monkeypatch.setattr(bsscale, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(["--output", "json"] + argv)
+        assert (code, out, err) == (3, "", f"domain error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_divisor_case_reported_before_the_levels_budget(self):
+        code, out, err = invoke(["--group", "2,4", "omega-edges", "--levels", "100000"])
+        assert (code, out) == (3, "")
+        assert err.endswith("domain error: level layout undefined in the divisor case\n")
+
+    @pytest.mark.parametrize("levels", range(5))
+    def test_levels_budget_counts_the_listed_nodes(self, levels):
+        size = len(bsscale.nodes_through(GroupParams(2, 3), levels))
+        argv = ["omega-edges", "--levels", str(levels)]
+        assert invoke(["--group", "2,3", "--budget", str(size)] + argv)[0] == 0
+        code, out, err = invoke(["--group", "2,3", "--budget", str(size - 1)] + argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"domain error: levels {levels} graph has more nodes than the budget {size - 1}\n"
+        )
 
     def test_other_value_errors_escape(self, monkeypatch):
         def broken(p, args):

@@ -169,6 +169,18 @@ class TestClassify:
                         else:
                             assert (nd.kind, nd.i, nd.j) == (INTERIOR, a - 1, b - 1)
 
+    def test_listing_matches_strip_route(self):
+        # level_nodes builds each node from its coordinates; classify_node
+        # strips them back out of the value and is the oracle here
+        for m in [*range(-12, 0), *range(1, 13)]:
+            for n in [*range(-12, 0), *range(1, 13)]:
+                p = GroupParams(m, n)
+                if p.divisor_case:
+                    continue
+                for level in range(9):
+                    nodes = level_nodes(p, level)
+                    assert nodes == [classify_node(p, nd.value) for nd in nodes]
+
     @pytest.mark.parametrize("p", [GroupParams(6, 9), GroupParams(-9, 6), GroupParams(12, -18)])
     def test_values_below_gcd_are_not_nodes(self, p):
         for x in range(2, p.g):

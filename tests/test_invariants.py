@@ -24,6 +24,7 @@ from bsscale import (
     structure_report,
     t_exponent,
 )
+from bsscale import selfcheck
 
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
@@ -98,6 +99,14 @@ class TestMoller:
     def test_ratios_stabilize_at_bound(self, p, w):
         _, ok = moller_stabilization(p, w, 8)
         assert ok
+
+    @given(st.sampled_from(selfcheck._GROUPS), words)
+    @settings(max_examples=200, deadline=None)
+    def test_indices_at_least_scale_powers(self, p, w):
+        # the CLI's moller digit check rests on r_k >= s(w)^k
+        s = scale(p, w).value
+        for k, r in enumerate(moller_sequence(p, w, 8), 1):
+            assert r >= s**k
 
     @given(
         st.sampled_from([P23, P24, P46, P33, GroupParams(2, -2), GroupParams(-3, 5)]),
@@ -272,6 +281,12 @@ class TestStructureReport:
         assert rep.swap_applied
         assert rep.primes_vplus == (2, 3, 5)
         assert rep.primes_vminus == ()
+
+    def test_prime_below_the_trial_bound_squared(self):
+        # no trial divisor up to 10^6 divides it, and it is below 10^12
+        rep = structure_report(GroupParams(2, 999999999989))
+        assert rep.primes_vplus == (2,)
+        assert rep.primes_vminus == (999999999989,)
 
     def test_prime_sets_disjoint(self):
         for p in (P23, P46, GroupParams(6, 10), GroupParams(12, 18)):
