@@ -75,7 +75,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         "--budget",
         type=_nonnegative,
         default=DEFAULT_BUDGET,
-        help="vertex budget for tree balls and graph listings",
+        help="budget for tree balls, graph listings, orbit-brute scans and moller --kmax",
     )
     top.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS)
     args, extra = top.parse_known_args(_glue_group(argv))
@@ -282,6 +282,8 @@ def _kernel(p, args):
 
 @_command("moller", _arg("--kmax", type=_positive, default=8), _arg("word"), notice=True)
 def _moller(p, args):
+    if args.kmax > args.budget:
+        raise BudgetError(f"kmax {args.kmax} asks for more indices than the budget {args.budget}")
     word = parse_word(args.word)
     sv = bsscale.scale(p, word)
     # r_k >= s(w)^k: the scale is the least displacement index over compact
@@ -313,16 +315,16 @@ def _trace(p, args):
 
 @_command("omega-edges", _arg("--levels", type=_nonnegative, default=3), _DOT, notice=True)
 def _omega_edges(p, args):
+    from . import graph
+
     if not p.divisor_case and (args.levels + 1) * (args.levels + 2) // 2 > args.budget:
         raise BudgetError(
             f"levels {args.levels} graph has more nodes than the budget {args.budget}"
         )
     nodes = bsscale.nodes_through(p, args.levels)
-    _write_dot(args, lambda: bsscale.to_dot(p, args.levels))
-    edge_rows = []
-    for nd in nodes:
-        for eps, lab in ((1, "t"), (-1, "t^-1")):
-            edge_rows.append((nd.value, lab, bsscale.step(p, nd.value, eps)))
+    out_edges = graph._out_edges(p, nodes)
+    _write_dot(args, lambda: graph._omega_dot(p, nodes, out_edges))
+    edge_rows = [(x, "t" if eps > 0 else "t^-1", y) for x, y, eps in out_edges]
     return "\n".join(f"{x} {lab} {y}" for x, lab, y in edge_rows), {
         "nodes": [
             {"value": nd.value, "kind": nd.kind, "level": nd.level, "dist_left": nd.dist_left}
@@ -348,7 +350,13 @@ def _orbit(p, args):
     "orbit-brute", _arg("--dmax", type=_nonnegative, default=None), _arg("word"), notice=True
 )
 def _orbit_brute(p, args):
-    val = bsscale.orbit_order_bruteforce(p, parse_word(args.word), args.dmax)
+    from .cosets import default_scan_bound
+
+    word = parse_word(args.word)
+    bound = default_scan_bound(p, word) if args.dmax is None else args.dmax
+    val = bsscale.orbit_order_bruteforce(p, word, min(bound, args.budget))
+    if val is None and bound > args.budget:
+        raise BudgetError(f"scan passed the budget {args.budget}")
     return "none" if val is None else str(val), {"orbit_order": None if val is None else str(val)}
 
 

@@ -6,6 +6,12 @@ orbit/index scans that decide through word reduction alone, independently
 of the intersection-graph calculus.  The exception is ``orbit_census``: it
 takes each vertex's orbit order from ``invariants.orbit_order_syllables``,
 the ``step`` route, and checks only that the order has the admissible shape.
+
+A scan asks, for d = 1, 2, ..., whether X a^d Y lies in <a>.  It reduces X
+and Y once.  A reduced word is freely reduced and pinch-free, and putting
+a^d between two such words changes only the a run where they meet, so a
+pinch of X a^d Y can only appear there (Britton's lemma, Lyndon-Schupp
+ch. IV); each candidate d is tested on that junction alone.
 """
 
 from __future__ import annotations
@@ -139,13 +145,35 @@ def index_bruteforce(p: GroupParams, w: str, k: int) -> int | None:
 
 def _scan_into_a(p: GroupParams, x, y, d_max: int) -> int | None:
     """Minimal d in 1..d_max with X a^d Y a power of a, X and Y given as
-    syllables (exponents, signs), by word reduction; None past d_max."""
-    (xe, xs), (ye, ys) = x, y
-    head, mid, tail = xe[:-1], xe[-1] + ye[0], ye[1:]
-    signs = xs + ys
+    syllables (exponents, signs), by word reduction; None past d_max.
+
+    X and Y are reduced once, so each is freely reduced and pinch-free.
+    Reducing X a^d Y left to right then keeps X whole, and each pinch faces
+    the last t letter left of X with the next one of Y: once a t letter of
+    Y survives, the rest of Y meets only its own pinch-free runs.  So the
+    junction is the only place a pinch can appear, and by Britton's lemma
+    X a^d Y is a power of a exactly when the junction pinches cancel every
+    t letter, which needs as many t letters in X as in Y with opposite
+    signs facing.  Only the junction exponent a = xe[-1] + d + ye[0]
+    depends on d; each pinch turns it as ``reduce_syllables`` does and adds
+    the runs beside the cancelled letters.
+    """
+    xe, xs = reduce_syllables(p, *x)
+    ye, ys = reduce_syllables(p, *y)
+    if [-s for s in reversed(xs)] != ys:  # some t letter can never cancel
+        return None
+    # pinch k cancels xs[-1-k] with ys[k]: t a^top T needs m | top and
+    # T a^top t needs n | top; the runs beside the two letters join in
+    runs = [u + v for u, v in zip(reversed(xe[:-1]), ye[1:])]
+    pinches = [(p.m, p.n, r) if s < 0 else (p.n, p.m, r) for s, r in zip(ys, runs)]
+    start = xe[-1] + ye[0]
     for d in range(1, d_max + 1):
-        _, left = reduce_syllables(p, head + [mid + d] + tail, signs)
-        if not left:
+        a = start + d
+        for mod, mul, runs in pinches:
+            if a % mod:
+                break
+            a = a // mod * mul + runs
+        else:
             return d
     return None
 

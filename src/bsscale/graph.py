@@ -228,16 +228,22 @@ def to_dot(p: GroupParams, max_level: int) -> str:
     """DOT rendering of the subgraph induced on nodes of level <= max_level,
     nodes ordered by (level, dist_left)."""
     nodes = nodes_through(p, max_level)
+    return _omega_dot(p, nodes, _out_edges(p, nodes))
+
+
+def _out_edges(p: GroupParams, nodes: list[OmegaNode]) -> list[tuple[int, int, int]]:
+    """The two out-edges (x, step(x, eps), eps) of each node, eps = 1 first."""
+    return [(nd.value, step(p, nd.value, eps), eps) for nd in nodes for eps in (1, -1)]
+
+
+def _omega_dot(p: GroupParams, nodes: list[OmegaNode], out_edges) -> str:
+    """``to_dot``'s text from the listed nodes and their ``_out_edges``;
+    edges leaving the listed nodes are dropped."""
     values = {nd.value for nd in nodes}
     labels = [
         (nd.value, f"{nd.value} {nd.kind} L{nd.level} d{nd.dist_left}") for nd in nodes
     ]
-    edges = [
-        (nd.value, target, eps)
-        for nd in nodes
-        for eps in (1, -1)
-        if (target := step(p, nd.value, eps)) in values
-    ]
+    edges = [edge for edge in out_edges if edge[1] in values]
     return _dot("omega", f"BS({p.m},{p.n})", "n", labels, edges)
 
 

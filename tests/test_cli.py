@@ -136,6 +136,21 @@ class TestBasicCommands:
         with pytest.raises(AssertionError, match="stripped"):
             edges_from(GroupParams(2, 3), 2)
 
+    def test_omega_edges_with_dot_steps_each_edge_once(self, tmp_path, monkeypatch):
+        steps = []
+        step = graph.step
+
+        def count(p, x, eps):
+            steps.append((x, eps))
+            return step(p, x, eps)
+
+        monkeypatch.setattr(graph, "step", count)
+        monkeypatch.setattr(bsscale, "step", count)
+        path = tmp_path / "omega.dot"
+        argv = ["--group", "2,3", "omega-edges", "--levels", "6", "--dot", str(path)]
+        assert invoke(argv)[0] == 0
+        assert len(steps) == len(set(steps)) == 2 * 28
+
     @pytest.mark.parametrize(
         "argv,expected",
         [
@@ -390,6 +405,64 @@ class TestExitCodes:
         code, out, err = invoke(["--output", "json"] + argv)
         assert (code, out, err) == (3, "", f"domain error: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--group", "2,3", "orbit-brute", "t^24"], "scan passed the budget 200000"),
+            (
+                ["--group", "2,3", "moller", "--kmax", "1000000", "tATa"],
+                "kmax 1000000 asks for more indices than the budget 200000",
+            ),
+        ],
+    )
+    def test_scan_and_kmax_budgets_exit_3(self, argv, message):
+        for output in ("text", "json"):
+            code, out, err = invoke(["--output", output] + argv)
+            assert (code, out) == (3, "") and "Traceback" not in err
+            assert err.endswith(f"domain error: {message}\n")
+
+    def test_kmax_budget_checked_before_any_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started past the kmax budget")
+
+        for name in ("scale", "moller_stabilization", "step"):
+            monkeypatch.setattr(bsscale, name, refuse)
+        monkeypatch.setattr(graph, "step", refuse)
+        argv = ["--group", "2,3", "--budget", "5", "moller", "--kmax", "6", "t"]
+        code, out, err = invoke(argv)
+        assert (code, out) == (3, "")
+        assert err == "domain error: kmax 6 asks for more indices than the budget 5\n"
+
+    @pytest.mark.parametrize(
+        "budget,dmax,expected",
+        [
+            (None, None, (0, "59049\n")),
+            ("59049", None, (0, "59049\n")),
+            ("59048", None, (3, "")),
+            ("59048", "60000", (3, "")),
+            ("10", "1000", (3, "")),
+            ("1000", "1000", (0, "none\n")),
+            ("0", "0", (0, "none\n")),
+        ],
+    )
+    def test_orbit_brute_scans_at_most_the_budget(self, budget, dmax, expected, monkeypatch):
+        bounds = []
+        scan = bsscale.orbit_order_bruteforce
+
+        def record(p, w, d_max=None):
+            bounds.append(d_max)
+            return scan(p, w, d_max)
+
+        monkeypatch.setattr(bsscale, "orbit_order_bruteforce", record)
+        argv = ["--group", "2,3"] + (["--budget", budget] if budget else [])
+        argv += ["orbit-brute"] + (["--dmax", dmax] if dmax else []) + ["t^10"]
+        code, out, err = invoke(argv)
+        assert (code, out) == expected
+        bound = 6**10 if dmax is None else int(dmax)
+        assert bounds == [min(bound, int(budget or 200000))]
+        if code:
+            assert err == f"domain error: scan passed the budget {budget}\n"
 
     def test_divisor_case_reported_before_the_levels_budget(self):
         code, out, err = invoke(["--group", "2,4", "omega-edges", "--levels", "100000"])

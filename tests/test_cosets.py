@@ -4,6 +4,8 @@ import re
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bsscale import (
     BudgetError,
@@ -18,7 +20,10 @@ from bsscale import (
     orbit_order_factorization,
     trace,
 )
+from bsscale import cosets, graph, invariants
+from bsscale.cosets import _scan_into_a
 from bsscale.sampling import random_pinch_free_word
+from bsscale.words import invert_syllables, reduce_syllables
 
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
@@ -151,6 +156,74 @@ class TestBruteForce:
                 for k in (1, 2, 3):
                     expected = trace(p, z * k) if z else 1
                     assert index_bruteforce(p, z, k) == expected
+
+
+def _reference_scan(p, x, y, d_max):
+    """The plain scan: rebuild X a^d Y and reduce all of it for every d.
+    ``_scan_into_a`` must give the same answer."""
+    (xe, xs), (ye, ys) = x, y
+    head, mid, tail = xe[:-1], xe[-1] + ye[0], ye[1:]
+    for d in range(1, d_max + 1):
+        _, left = reduce_syllables(p, head + [mid + d] + tail, xs + ys)
+        if not left:
+            return d
+    return None
+
+
+SCAN_GROUPS = [
+    GroupParams(m, n)
+    for m, n in ((2, 3), (3, -2), (1, 1), (2, 2), (2, -2), (-1, 2), (2, 4), (4, 6), (1, 3))
+]
+
+
+@st.composite
+def _scan_cases(draw):
+    """(p, X, Y, d_max) with X and Y unreduced: runs of 0 between opposite
+    signs are free pairs, and multiples of m or n make pinches.  Half the
+    cases take Y from X^-1, so that some d answers."""
+    p = draw(st.sampled_from(SCAN_GROUPS))
+    run = st.one_of(
+        st.integers(-9, 9),
+        st.just(0),
+        st.builds(lambda c, base: c * base, st.integers(-3, 3), st.sampled_from([p.m, p.n])),
+    )
+
+    def syllables():
+        k = draw(st.integers(0, 5))
+        exps = draw(st.lists(run, min_size=k + 1, max_size=k + 1))
+        return exps, draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+
+    x = syllables()
+    if draw(st.booleans()):
+        y = invert_syllables(*x)
+        y[0][0] += draw(st.integers(-4, 4))
+    else:
+        y = syllables()
+    return p, x, y, draw(st.integers(0, 60))
+
+
+class TestJunctionScan:
+    @given(_scan_cases())
+    @settings(max_examples=400, deadline=None)
+    @example((P23, ([0, 2, 0], [1, -1]), ([0], []), 5))  # X reduces into <a>
+    @example((P23, ([0, 0], [-1]), ([0, 0, 0, 0], [1, -1, 1]), 60))  # a free pair in Y
+    @example((GroupParams(2, -2), ([0, 0, 0], [-1, -1]), ([0, 0, 0], [1, 1]), 20))
+    def test_matches_the_full_reduction_scan(self, case):
+        p, x, y, d_max = case
+        assert _scan_into_a(p, x, y, d_max) == _reference_scan(p, x, y, d_max)
+
+    def test_decides_by_reduction_alone(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan used the route it checks")
+
+        monkeypatch.setattr(graph, "step", refuse)
+        monkeypatch.setattr(graph, "trace", refuse)
+        monkeypatch.setattr(invariants, "orbit_order_syllables", refuse)
+        monkeypatch.setattr(cosets, "orbit_order_syllables", refuse)
+        assert orbit_order_bruteforce(P23, "tt") == 9
+        assert orbit_order_bruteforce(P23, "tatT") == 3
+        assert index_bruteforce(P23, "t", 3) == 8
+        assert index_bruteforce(P24, "T", 2) == 8
 
 
 class TestCensus:
