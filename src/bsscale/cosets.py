@@ -4,21 +4,25 @@ A radius-R ball of the tree is enumerated as canonical left cosets of <a>
 (vertices), with the partial permutation action of the generators and
 orbit/index scans that decide through word reduction alone, independently
 of the intersection-graph calculus.  The exception is ``orbit_census``: it
-takes each vertex's orbit order from ``invariants.orbit_order_syllables``,
-the ``step`` route, and checks only that the order has the admissible shape.
+takes each orbit order from ``invariants.orbit_order_syllables``, the
+``step`` route, and checks only that the order has the admissible shape.
 
-A scan asks, for d = 1, 2, ..., whether X a^d Y lies in <a>.  It reduces X
-and Y once.  A reduced word is freely reduced and pinch-free, and putting
-a^d between two such words changes only the a run where they meet, so a
-pinch of X a^d Y can only appear there (Britton's lemma, Lyndon-Schupp
-ch. IV); each candidate d is tested on that junction alone.
+Both scans ask, for d = 1, 2, ..., whether Y^-1 a^d Y lies in <a>: the
+orbit of <a> on w<a> with Y = w, and Moller's displacement index
+[<a> : <a> intersect w^-k <a> w^k] with Y = w^-k.  The scan reduces Y
+once.  A reduced word and its inverse are freely reduced and pinch-free,
+so a pinch of Y^-1 a^d Y can only appear where the two halves meet
+(Britton's lemma, Lyndon-Schupp ch. IV).  Each pinch there cancels a t
+letter of Y with its own inverse, so the a runs on either side of that
+pair are a run of Y and its negative, and they cancel too.  Whether d
+answers therefore depends on the signs of the reduced Y alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .errors import BudgetError, InvariantError
+from .errors import BudgetError, DomainError, InvariantError
 from .graph import _dot
 from .invariants import orbit_order_factorization, orbit_order_syllables
 from .normal_forms import CosetId, ElementNormalForm, coset_of, coset_word
@@ -129,50 +133,43 @@ def orbit_order_bruteforce(
     a bug, not a property of the input)."""
     if d_max is None:
         d_max = default_scan_bound(p, w)
-    ws = word_syllables(w)
-    return _scan_into_a(p, invert_syllables(*ws), ws, d_max)
+    return _scan_into_a(p, word_syllables(w), d_max)
 
 
 def index_bruteforce(p: GroupParams, w: str, k: int) -> int | None:
     """Minimal e >= 1 with w^k a^e w^-k a power of a: the generator exponent
     of <a> intersect w^-k <a> w^k, whose value is the index
     [<a> : <a> intersect w^-k <a> w^k].  None if ``default_scan_bound`` is
-    passed.
+    passed.  Raises DomainError unless k >= 1.
     """
     wk = _power_syllables(*word_syllables(w), k)
-    return _scan_into_a(p, wk, invert_syllables(*wk), default_scan_bound(p, w, k))
+    return _scan_into_a(p, invert_syllables(*wk), default_scan_bound(p, w, k))
 
 
-def _scan_into_a(p: GroupParams, x, y, d_max: int) -> int | None:
-    """Minimal d in 1..d_max with X a^d Y a power of a, X and Y given as
+def _scan_into_a(p: GroupParams, y, d_max: int) -> int | None:
+    """Minimal d in 1..d_max with Y^-1 a^d Y a power of a, Y given as
     syllables (exponents, signs), by word reduction; None past d_max.
 
-    X and Y are reduced once, so each is freely reduced and pinch-free.
-    Reducing X a^d Y left to right then keeps X whole, and each pinch faces
-    the last t letter left of X with the next one of Y: once a t letter of
-    Y survives, the rest of Y meets only its own pinch-free runs.  So the
-    junction is the only place a pinch can appear, and by Britton's lemma
-    X a^d Y is a power of a exactly when the junction pinches cancel every
-    t letter, which needs as many t letters in X as in Y with opposite
-    signs facing.  Only the junction exponent a = xe[-1] + d + ye[0]
-    depends on d; each pinch turns it as ``reduce_syllables`` does and adds
-    the runs beside the cancelled letters.
+    Y is reduced once, which leaves Y and Y^-1 freely reduced and
+    pinch-free.  Reducing Y^-1 a^d Y left to right then keeps Y^-1 whole,
+    and each pinch faces the last surviving t letter of Y^-1 with the next
+    t letter of Y: once a t letter of Y survives, the rest of Y meets only
+    its own pinch-free runs.  So all pinches sit at the junction, and by
+    Britton's lemma Y^-1 a^d Y is a power of a exactly when they cancel
+    every t letter.  The pinch on a sign s of Y is T a^x t (s = +1), which
+    needs n | x and leaves a^(x/n*m), or t a^x T (s = -1), which needs
+    m | x and leaves a^(x/m*n).  The a runs beside the two cancelled
+    letters are a run of Y and its negative, so they add nothing, and the
+    junction exponent starts at d.
     """
-    xe, xs = reduce_syllables(p, *x)
-    ye, ys = reduce_syllables(p, *y)
-    if [-s for s in reversed(xs)] != ys:  # some t letter can never cancel
-        return None
-    # pinch k cancels xs[-1-k] with ys[k]: t a^top T needs m | top and
-    # T a^top t needs n | top; the runs beside the two letters join in
-    runs = [u + v for u, v in zip(reversed(xe[:-1]), ye[1:])]
-    pinches = [(p.m, p.n, r) if s < 0 else (p.n, p.m, r) for s, r in zip(ys, runs)]
-    start = xe[-1] + ye[0]
+    _, signs = reduce_syllables(p, *y)
+    pinches = [(p.m, p.n) if s < 0 else (p.n, p.m) for s in signs]
     for d in range(1, d_max + 1):
-        a = start + d
-        for mod, mul, runs in pinches:
+        a = d
+        for mod, mul in pinches:
             if a % mod:
                 break
-            a = a // mod * mul + runs
+            a = a // mod * mul
         else:
             return d
     return None
@@ -190,7 +187,10 @@ def _power_syllables(we: list[int], ws: list[int], k: int):
 
 def default_scan_bound(p: GroupParams, w: str, k: int = 1) -> int:
     """Scan ceiling g * (l/|m|)^B * (l/|n|)^B with B the t-letter count of
-    w^k; orbit and index values always sit below it."""
+    w^k; orbit and index values always sit below it.  Raises DomainError
+    unless k >= 1."""
+    if k < 1:
+        raise DomainError(f"power k must be at least 1, got {k}")
     b = k * (w.count("t") + w.count("T"))
     return p.g * p.l_over_m**b * p.l_over_n**b
 
@@ -213,17 +213,30 @@ def orbit_census(
 ) -> Counter[int]:
     """Multiset of <a>-orbit orders over all vertices of the radius ball.
 
+    The order at u<a> is the least d with u^-1 a^d u in <a>.  As in the
+    scans, the a runs of the reduced u cancel around each pinch of
+    u^-1 a^d u, so the order depends only on the t-letter signs of u.  A
+    coset word is reduced, so the vertices are grouped by the signs of
+    their coset ids, and each group's order is computed once, from the
+    group's first vertex.
+
     Every order must decompose as g' (l/|m|)^r (l/|n|)^s with g' dividing
     gcd(|m|, |n|); a violation raises, since it would falsify the orbit
     arithmetic this module cross-checks.
     """
     table = enumerate_ball(p, radius, budget=budget)
-    census: Counter[int] = Counter()
+    sizes: Counter[tuple[int, ...]] = Counter()
+    first: dict[tuple[int, ...], CosetId] = {}
     for cid in table.vertices:
+        signs = tuple(s for _, s in cid)
+        sizes[signs] += 1
+        first.setdefault(signs, cid)
+    census: Counter[int] = Counter()
+    for signs, cid in first.items():
         d = orbit_order_syllables(p, *ElementNormalForm(cid, 0).word_syllables())
         if orbit_order_factorization(p, d) is None:
             raise InvariantError(f"orbit order {d} outside the admissible shape")
-        census[d] += 1
+        census[d] += sizes[signs]
     return census
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from random import Random
 
 from .params import GroupParams
-from .words import _LETTERS, is_pinch_free
+from .words import _LETTERS, Word, is_pinch_free, parse_word
 
 _NON_INVERSE = {
     "a": "atT",
@@ -18,9 +18,11 @@ _NON_INVERSE = {
 }
 
 
-def random_word(rng: Random, max_len: int) -> str:
+def random_word(rng: Random, max_len: int) -> Word:
+    """A uniform word of 0..max_len letters, parsed once so that it carries
+    its syllables and is not decoded again at each use."""
     length = rng.randint(0, max_len)
-    return "".join(rng.choice(_LETTERS) for _ in range(length))
+    return parse_word("".join(rng.choice(_LETTERS) for _ in range(length)))
 
 
 def random_freely_reduced_word(rng: Random, max_len: int) -> str:

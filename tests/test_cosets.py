@@ -1,6 +1,7 @@
 """Tree-ball enumeration, generator actions, and brute-force cross-checks."""
 
 import re
+from collections import Counter
 from random import Random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from bsscale import (
     BudgetError,
+    DomainError,
     GroupParams,
     act,
     enumerate_ball,
@@ -132,6 +134,13 @@ class TestBruteForce:
         assert index_bruteforce(P23, "a", 2) == 1
         assert index_bruteforce(P24, "T", 2) == 8
 
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_index_scan_needs_a_positive_power(self, k):
+        with pytest.raises(DomainError, match="at least 1"):
+            index_bruteforce(P23, "t", k)
+        with pytest.raises(DomainError, match="at least 1"):
+            cosets.default_scan_bound(P23, "t", k)
+
     def test_orbit_matches_trace_route(self):
         rng = Random(7)
         for p in (P23, P46, GroupParams(3, 2)):
@@ -178,39 +187,29 @@ SCAN_GROUPS = [
 
 @st.composite
 def _scan_cases(draw):
-    """(p, X, Y, d_max) with X and Y unreduced: runs of 0 between opposite
-    signs are free pairs, and multiples of m or n make pinches.  Half the
-    cases take Y from X^-1, so that some d answers."""
+    """(p, Y, d_max) with Y unreduced: runs of 0 between opposite signs are
+    free pairs, and multiples of m or n make pinches."""
     p = draw(st.sampled_from(SCAN_GROUPS))
     run = st.one_of(
         st.integers(-9, 9),
         st.just(0),
         st.builds(lambda c, base: c * base, st.integers(-3, 3), st.sampled_from([p.m, p.n])),
     )
-
-    def syllables():
-        k = draw(st.integers(0, 5))
-        exps = draw(st.lists(run, min_size=k + 1, max_size=k + 1))
-        return exps, draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
-
-    x = syllables()
-    if draw(st.booleans()):
-        y = invert_syllables(*x)
-        y[0][0] += draw(st.integers(-4, 4))
-    else:
-        y = syllables()
-    return p, x, y, draw(st.integers(0, 60))
+    k = draw(st.integers(0, 5))
+    exps = draw(st.lists(run, min_size=k + 1, max_size=k + 1))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    return p, (exps, signs), draw(st.integers(0, 60))
 
 
 class TestJunctionScan:
     @given(_scan_cases())
     @settings(max_examples=400, deadline=None)
-    @example((P23, ([0, 2, 0], [1, -1]), ([0], []), 5))  # X reduces into <a>
-    @example((P23, ([0, 0], [-1]), ([0, 0, 0, 0], [1, -1, 1]), 60))  # a free pair in Y
-    @example((GroupParams(2, -2), ([0, 0, 0], [-1, -1]), ([0, 0, 0], [1, 1]), 20))
+    @example((P23, ([0, 2, 0], [1, -1]), 5))  # Y reduces into <a>
+    @example((P23, ([0, 0, 0, 0], [1, -1, 1]), 60))  # a free pair in Y
+    @example((GroupParams(2, -2), ([0, 0, 0], [1, 1]), 20))
     def test_matches_the_full_reduction_scan(self, case):
-        p, x, y, d_max = case
-        assert _scan_into_a(p, x, y, d_max) == _reference_scan(p, x, y, d_max)
+        p, y, d_max = case
+        assert _scan_into_a(p, y, d_max) == _reference_scan(p, invert_syllables(*y), y, d_max)
 
     def test_decides_by_reduction_alone(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -238,6 +237,18 @@ class TestCensus:
         assert census[1] == 1
         for order in census:
             assert orbit_order_factorization(P46, order) is not None
+
+    @pytest.mark.parametrize(
+        "m, n, radius", [(2, 3, 4), (3, -2, 4), (2, 4, 3), (1, 1, 6), (2, 2, 3), (6, 10, 2)]
+    )
+    def test_matches_the_scan_at_every_vertex(self, m, n, radius):
+        # one order per sign class must still be each vertex's own order
+        p = GroupParams(m, n)
+        table = enumerate_ball(p, radius)
+        brute = Counter(
+            orbit_order_bruteforce(p, table.vertex_word(v)) for v in range(len(table.vertices))
+        )
+        assert orbit_census(p, radius) == brute
 
     def test_a_cycles_appear_in_census(self):
         t = enumerate_ball(P23, 2)
