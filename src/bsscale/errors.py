@@ -29,13 +29,14 @@ class NotANodeError(DomainError):
 
 
 class NoPathError(DomainError):
-    """No directed path between two intersection-graph nodes within the
-    search bound."""
+    """No directed path between two intersection-graph nodes: the target
+    lies on a lower level, and edges never lead down."""
 
 
 class BudgetError(RuntimeError):
     """A size budget (tree-ball vertex count, intersection-graph node count,
-    trial-division bound) would be exceeded."""
+    trial-division bound, ``orbit-brute`` scan candidates, ``moller --kmax``
+    index count) would be exceeded."""
 
 
 class InvariantError(AssertionError):

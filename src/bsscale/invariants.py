@@ -115,18 +115,18 @@ def moller_sequence(p: GroupParams, w: str, k_max: int) -> list[int]:
 
 def moller_stabilization(p: GroupParams, w: str, k_max: int) -> tuple[list[int], bool]:
     """The index sequence plus whether every ratio past the engineering
-    bound 2N + 1 (N the t^-1 count of the normalized word) equals scale(w)."""
-    labels = word_syllables(conjugacy_normalize(p, w))[1]
+    bound 2N + 1 (N the t^-1 count of the normalized word) equals scale(w).
+    A discrete group normalizes nothing: every index and the scale are 1."""
+    target = scale(p, w).value  # the ParseError for a bad letter comes here
     if p.discrete:
-        seq = [1] * k_max
-    else:
-        seq = []
-        x = 1
-        for _ in range(k_max):
-            for eps in labels:
-                x = step(p, x, eps)
-            seq.append(x)
-    target = scale(p, w).value
+        return [1] * k_max, True
+    labels = word_syllables(conjugacy_normalize(p, w))[1]
+    seq = []
+    x = 1
+    for _ in range(k_max):
+        for eps in labels:
+            x = step(p, x, eps)
+        seq.append(x)
     bound = 2 * labels.count(-1) + 1
     ok = all(seq[k] == seq[k - 1] * target for k in range(bound, len(seq)))
     return seq, ok

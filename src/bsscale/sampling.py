@@ -25,22 +25,14 @@ def random_word(rng: Random, max_len: int) -> Word:
     return parse_word("".join(rng.choice(_LETTERS) for _ in range(length)))
 
 
-def random_freely_reduced_word(rng: Random, max_len: int) -> str:
-    length = rng.randint(0, max_len)
-    out: list[str] = []
-    for _ in range(length):
-        out.append(rng.choice(_NON_INVERSE[out[-1]] if out else _LETTERS))
-    return "".join(out)
-
-
-def random_pinch_free_word(
-    p: GroupParams, rng: Random, max_len: int, max_t: int | None = None
-) -> str:
-    """Rejection-sample a freely reduced pinch-free word, optionally capping
-    the t-letter count (scan oracles grow geometrically in it)."""
+def random_pinch_free_word(p: GroupParams, rng: Random, max_len: int) -> Word:
+    """Rejection-sample a freely reduced pinch-free word of 0..max_len
+    letters, each drawn from the letters that do not cancel the one before
+    it; parsed once, like ``random_word``."""
     while True:
-        w = random_freely_reduced_word(rng, max_len)
-        if max_t is not None and sum(1 for ch in w if ch in "tT") > max_t:
-            continue
+        out: list[str] = []
+        for _ in range(rng.randint(0, max_len)):
+            out.append(rng.choice(_NON_INVERSE[out[-1]] if out else _LETTERS))
+        w = "".join(out)
         if is_pinch_free(p, w):
-            return w
+            return parse_word(w)

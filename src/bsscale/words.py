@@ -369,63 +369,63 @@ def conjugacy_normalize_with_certificate(
     pinch-free, so every positive power of z is freely reduced and pinch-free.
 
     Four moves are applied greedily in a fixed order, restarting after each:
-    (1) cancel a free inverse pair, (2) strip a conjugating first/last letter
-    pair, (3) remove the leftmost pinch, (4) when the square (but not the
+    (1) cancel a free inverse pair, (2) strip conjugating first/last letter
+    pairs, (3) remove the leftmost pinch, (4) when the square (but not the
     word itself) has a pinch straddling the wrap boundary, conjugate it away.
     Each move strictly decreases (t-letter count, length) lexicographically.
 
-    The moves act on syllables.  Free reduction is completed once up front.
-    Later, a free pair can only appear inside the word, where a pinch left an
-    empty a run between opposite t letters; that pair is a pinch with c = 0,
-    the leftmost one, and no strip applies first because the ends did not
-    change.  The pinch search resumes one syllable left of the last change,
-    so the scan is amortized linear in the number of syllables.
+    The moves act on syllables, one per pass.  Free reduction is completed
+    once up front.  Later, a free pair can only appear inside the word, where
+    a pinch left an empty a run between opposite t letters; that pair is the
+    leftmost pinch (c = 0), and no strip applies first as the ends did not
+    change.  A strip takes a whole end run at once, and the pinch search
+    resumes one syllable left of the last change.  But every move deletes
+    from the lists at a cost of their length, so a cascade of N moves, as in
+    ``a t^N a^2 T^N a`` or ``(t a)^N t (A T)^N``, is quadratic in N.
     """
     m, n = p.m, p.n
     exps, signs = free_reduce_syllables(*word_syllables(w))
     h: list[str] = []
     k = 0  # no pinch sits on a sign pair (j, j + 1) with j < k
     while True:
-        # move 2: y = c z c^-1, a whole run of such letters c at once
-        while signs:
-            first, last = exps[0], exps[-1]
-            if first * last < 0:
-                c = first if abs(first) < abs(last) else -last
-                h.append("a" * c + "A" * -c)
-                exps[0] -= c
-                exps[-1] += c
-            elif first == last == 0 and len(signs) > 1 and signs[0] != signs[-1]:
-                h.append("t" if signs[0] > 0 else "T")
-                del exps[0], exps[-1], signs[0], signs[-1]
-                k = max(k - 1, 0)
-            else:
-                break
+        i, j = exps[0], exps[-1]
+        # move 2 on a letters: y = a^c z a^-c, emptying the shorter end run
+        if i * j < 0:
+            c = i if abs(i) < abs(j) else -j
+            h.append("a" * c + "A" * -c)
+            exps[0], exps[-1] = i - c, j + c
+            continue
+        # move 2 on t letters: strip end pairs t^s ... t^-s while the a runs outside are 0
+        if i == j == 0 and len(signs) > 1 and signs[0] != signs[-1]:
+            r = next((q for q in range(1, len(signs) // 2)
+                      if exps[q] or exps[~q] or signs[q] == signs[~q]), len(signs) // 2)
+            h += ["t" if s > 0 else "T" for s in signs[:r]]
+            del exps[:r], exps[-r:], signs[:r], signs[-r:]
+            k = max(k - r, 0)
+            continue
         # move 3: the leftmost pinch, t a^(cm) T or T a^(cn) t
-        while k < len(signs) - 1:
-            s = signs[k]
-            if s != signs[k + 1] and exps[k + 1] % (m if s > 0 else n) == 0:
-                break
+        while k < len(signs) - 1 and (
+                signs[k] == signs[k + 1] or exps[k + 1] % (m if signs[k] > 0 else n)):
             k += 1
-        else:
-            # move 4: y = a^i T v t a^j with m | i + j becomes v a^((i+j)n/m)
-            # after conjugating by a^i T (likewise with t and T swapped)
-            if len(signs) > 1 and signs[0] != signs[-1]:
-                i, j = exps[0], exps[-1]
-                d, r = (m, n) if signs[0] < 0 else (n, m)
-                if (i + j) % d == 0:
-                    h.append("a" * i + "A" * -i + ("t" if signs[0] > 0 else "T"))
-                    del exps[0], exps[-1], signs[0], signs[-1]
-                    exps[-1] += (i + j) // d * r
-                    continue  # the interior kept its pairs, so no pinch arose
-            return syllables_to_word(exps, signs), "".join(h)
-        mid = exps[k + 1]
-        exps[k] += (mid // m * n if s > 0 else mid // n * m) + exps[k + 2]
-        del signs[k : k + 2], exps[k + 1 : k + 3]
-        k = max(k - 1, 0)
+        if k < len(signs) - 1:
+            mid = exps[k + 1]
+            exps[k] += (mid // m * n if signs[k] > 0 else mid // n * m) + exps[k + 2]
+            del signs[k : k + 2], exps[k + 1 : k + 3]
+            k = max(k - 1, 0)
+            continue
+        # move 4: y = a^i T v t a^j with m | i + j becomes v a^((i+j)n/m)
+        # after conjugating by a^i T (likewise with t and T swapped)
+        if len(signs) > 1 and signs[0] != signs[-1]:
+            d, e = (m, n) if signs[0] < 0 else (n, m)
+            if (i + j) % d == 0:
+                h.append("a" * i + "A" * -i + ("t" if signs[0] > 0 else "T"))
+                del exps[0], exps[-1], signs[0], signs[-1]
+                exps[-1] += (i + j) // d * e
+                continue  # the interior kept its pairs, so no pinch arose
+        return syllables_to_word(exps, signs), "".join(h)
 
 
 def conjugacy_normalize(p: GroupParams, w: str) -> Word:
     """Conjugate w to a word z whose square (hence every positive power) is
     freely reduced and pinch-free."""
-    z, _ = conjugacy_normalize_with_certificate(p, w)
-    return z
+    return conjugacy_normalize_with_certificate(p, w)[0]

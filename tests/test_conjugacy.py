@@ -43,6 +43,11 @@ def test_wrapped_word():
     assert equal_elements(P23, h + z + invert_word(h), w)
 
 
+def test_strips_a_long_t_run_at_once():
+    w = "t" * 20000 + "a" + "T" * 20000
+    assert conjugacy_normalize_with_certificate(P23, w) == ("a", "t" * 20000)
+
+
 def test_boundary_pinch_move():
     # aTata is pinch-free but its square holds the straddling pinch taaT
     w = "aTata"
@@ -170,6 +175,8 @@ run_words = st.lists(
 @example(P23, "atataaTT")
 @example(GroupParams(1, 3), "TaaatAAA")
 @example(GroupParams(3, -5), "taaTtaaT")
+@example(P23, "tataTaT")  # the t strip stops after one pair, at a nonzero a run
+@example(P23, "tttaTT")  # the t strip stops with one t letter left
 @settings(max_examples=600, deadline=None)
 def test_matches_greedy_reference(p, w):
     assert conjugacy_normalize_with_certificate(p, w) == greedy_normalize(p, w)

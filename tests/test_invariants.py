@@ -24,7 +24,8 @@ from bsscale import (
     structure_report,
     t_exponent,
 )
-from bsscale import selfcheck
+from bsscale import invariants, selfcheck
+from bsscale.errors import ParseError
 
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
@@ -93,6 +94,18 @@ class TestMoller:
 
     def test_discrete_group_reports_ones(self):
         assert moller_sequence(P33, "t", 4) == [1, 1, 1, 1]
+
+    def test_discrete_group_does_not_normalize(self, monkeypatch):
+        # nothing on a discrete group reads the normalized word
+        def refuse(p, w):
+            raise AssertionError("conjugacy_normalize called")
+
+        monkeypatch.setattr(invariants, "conjugacy_normalize", refuse)
+        for p in (P33, GroupParams(2, -2), GroupParams(-1, 1)):
+            w = parse_word("a t^300 a^2 T^300 a")
+            assert moller_stabilization(p, w, 3) == ([1, 1, 1], True)
+            with pytest.raises(ParseError, match="invalid letter 'x'"):
+                moller_stabilization(p, "x", 3)
 
     @given(groups, words)
     @settings(max_examples=200, deadline=None)
