@@ -4,8 +4,10 @@ A radius-R ball of the tree is enumerated as canonical left cosets of <a>
 (vertices), with the partial permutation action of the generators and
 orbit/index scans that decide through word reduction alone, independently
 of the intersection-graph calculus.  The exception is ``orbit_census``: it
-takes each orbit order from ``invariants.orbit_order_syllables``, the
-``step`` route, and checks only that the order has the admissible shape.
+builds no ball, walks the t-sign sequences of its vertices with the count
+of vertices on each, takes one orbit order per sign sequence from
+``invariants.orbit_order_syllables``, the ``step`` route, and checks only
+that the order has the admissible shape.
 
 Both scans ask, for d = 1, 2, ..., whether Y^-1 a^d Y lies in <a>: the
 orbit of <a> on w<a> with Y = w, and Moller's displacement index
@@ -27,7 +29,13 @@ from .graph import _dot
 from .invariants import orbit_order_factorization, orbit_order_syllables
 from .normal_forms import CosetId, ElementNormalForm, coset_of, coset_word
 from .params import DEFAULT_BUDGET, GroupParams, Record
-from .words import Word, format_syllables, invert_syllables, reduce_syllables, word_syllables
+from .words import (
+    Word,
+    _read_syllables,
+    format_syllables,
+    invert_syllables,
+    reduce_syllables,
+)
 
 
 class CosetTable(Record):
@@ -62,17 +70,19 @@ class CosetTable(Record):
         }
 
 
-def _ball_size(p: GroupParams, radius: int, cap: int) -> int:
-    """Vertex count of the radius ball, or a partial count above ``cap``
-    once the count passes it, so that a huge radius stops early."""
+def _check_ball_budget(p: GroupParams, radius: int, budget: int) -> None:
+    """Raise BudgetError when the radius ball has more than ``budget``
+    vertices.  The count stops once it passes the budget, so that a huge
+    radius stops early."""
     deg = abs(p.m) + abs(p.n)
     total, shell = 1, deg
     for _ in range(radius):
-        if total > cap:
+        if total > budget:
             break
         total += shell
         shell *= deg - 1
-    return total
+    if total > budget:
+        raise BudgetError(f"radius {radius} ball has more vertices than the budget {budget}")
 
 
 def enumerate_ball(
@@ -84,8 +94,7 @@ def enumerate_ball(
     |m| neighbors u a^c t^-1 <a> (c mod |m|); one of them is u's parent, the
     rest are children, so interior vertices have degree |m| + |n|.
     """
-    if _ball_size(p, radius, budget) > budget:
-        raise BudgetError(f"radius {radius} ball has more vertices than the budget {budget}")
+    _check_ball_budget(p, radius, budget)
     base: CosetId = ()
     vertices = [base]
     index = {base: 0}
@@ -131,9 +140,10 @@ def orbit_order_bruteforce(
     """Minimal d in 1..d_max with w^-1 a^d w a power of a, by direct scan;
     None if the scan bound is passed (with the default bound that signals
     a bug, not a property of the input)."""
+    y = _read_syllables(w)
     if d_max is None:
-        d_max = default_scan_bound(p, w)
-    return _scan_into_a(p, word_syllables(w), d_max)
+        d_max = _scan_bound(p, len(y[1]))
+    return _scan_into_a(p, y, d_max)
 
 
 def index_bruteforce(p: GroupParams, w: str, k: int) -> int | None:
@@ -142,7 +152,7 @@ def index_bruteforce(p: GroupParams, w: str, k: int) -> int | None:
     [<a> : <a> intersect w^-k <a> w^k].  None if ``default_scan_bound`` is
     passed.  Raises DomainError unless k >= 1.
     """
-    wk = _power_syllables(*word_syllables(w), k)
+    wk = _power_syllables(*_read_syllables(w), k)
     return _scan_into_a(p, invert_syllables(*wk), default_scan_bound(p, w, k))
 
 
@@ -160,11 +170,15 @@ def _scan_into_a(p: GroupParams, y, d_max: int) -> int | None:
     needs n | x and leaves a^(x/n*m), or t a^x T (s = -1), which needs
     m | x and leaves a^(x/m*n).  The a runs beside the two cancelled
     letters are a run of Y and its negative, so they add nothing, and the
-    junction exponent starts at d.
+    junction exponent starts at d.  Most d fail at the first pinch, so
+    that test runs on its own before the chain.
     """
     _, signs = reduce_syllables(p, *y)
     pinches = [(p.m, p.n) if s < 0 else (p.n, p.m) for s in signs]
+    first = pinches[0][0] if pinches else 1
     for d in range(1, d_max + 1):
+        if d % first:
+            continue
         a = d
         for mod, mul in pinches:
             if a % mod:
@@ -175,7 +189,7 @@ def _scan_into_a(p: GroupParams, y, d_max: int) -> int | None:
     return None
 
 
-def _power_syllables(we: list[int], ws: list[int], k: int):
+def _power_syllables(we, ws, k: int):
     exps = list(we)
     signs = list(ws)
     for _ in range(k - 1):
@@ -191,7 +205,10 @@ def default_scan_bound(p: GroupParams, w: str, k: int = 1) -> int:
     unless k >= 1."""
     if k < 1:
         raise DomainError(f"power k must be at least 1, got {k}")
-    b = k * (w.count("t") + w.count("T"))
+    return _scan_bound(p, k * (w.count("t") + w.count("T")))
+
+
+def _scan_bound(p: GroupParams, b: int) -> int:
     return p.g * p.l_over_m**b * p.l_over_n**b
 
 
@@ -211,32 +228,42 @@ def step_bruteforce(p: GroupParams, x: int, eps: int) -> int:
 def orbit_census(
     p: GroupParams, radius: int, budget: int = DEFAULT_BUDGET
 ) -> Counter[int]:
-    """Multiset of <a>-orbit orders over all vertices of the radius ball.
+    """Multiset of <a>-orbit orders over all vertices of the radius ball,
+    counted without building the ball.
 
     The order at u<a> is the least d with u^-1 a^d u in <a>.  As in the
     scans, the a runs of the reduced u cancel around each pinch of
-    u^-1 a^d u, so the order depends only on the t-letter signs of u.  A
-    coset word is reduced, so the vertices are grouped by the signs of
-    their coset ids, and each group's order is computed once, from the
-    group's first vertex.
+    u^-1 a^d u, so the order depends only on the t-letter signs of u.  The
+    census walks the t-sign sequences of length at most ``radius`` in the
+    order ``enumerate_ball`` first meets them, each with its vertex count:
+    a coset word puts one of |n| residues before a t letter and one of |m|
+    before a t^-1 letter, one fewer (no 0) after a letter of the opposite
+    sign.  Each sequence's order is computed once, from its first coset
+    word, with residue 0, or 1 after an opposite sign.
 
     Every order must decompose as g' (l/|m|)^r (l/|n|)^s with g' dividing
     gcd(|m|, |n|); a violation raises, since it would falsify the orbit
-    arithmetic this module cross-checks.
+    arithmetic this module cross-checks.  Raises BudgetError as
+    ``enumerate_ball`` does.
     """
-    table = enumerate_ball(p, radius, budget=budget)
-    sizes: Counter[tuple[int, ...]] = Counter()
-    first: dict[tuple[int, ...], CosetId] = {}
-    for cid in table.vertices:
-        signs = tuple(s for _, s in cid)
-        sizes[signs] += 1
-        first.setdefault(signs, cid)
+    _check_ball_budget(p, radius, budget)
+    residues = {1: abs(p.n), -1: abs(p.m)}
     census: Counter[int] = Counter()
-    for signs, cid in first.items():
-        d = orbit_order_syllables(p, *ElementNormalForm(cid, 0).word_syllables())
-        if orbit_order_factorization(p, d) is None:
-            raise InvariantError(f"orbit order {d} outside the admissible shape")
-        census[d] += sizes[signs]
+    level = [([0], [], 1)]  # (exps, signs) of a first coset word, vertex count
+    for r in range(radius + 1):
+        nxt = []
+        for exps, signs, count in level:
+            d = orbit_order_syllables(p, exps, signs)
+            if orbit_order_factorization(p, d) is None:
+                raise InvariantError(f"orbit order {d} outside the admissible shape")
+            census[d] += count
+            if r == radius:
+                continue
+            for s in (1, -1):
+                back = int(bool(signs) and signs[-1] == -s)  # residue 0 backtracks
+                if residues[s] > back:
+                    nxt.append((exps[:-1] + [back, 0], signs + [s], count * (residues[s] - back)))
+        level = nxt
     return census
 
 

@@ -15,10 +15,10 @@ from .errors import BudgetError
 from .graph import _strip, step
 from .params import GroupParams, Record
 from .words import (
-    conjugacy_normalize,
+    _read_syllables,
+    conjugacy_normalize_syllables,
     reduce_syllables,
     t_exponent,
-    word_syllables,
 )
 
 # ``fractions`` pulls in ``decimal``: it is imported only where a Fraction
@@ -120,7 +120,7 @@ def moller_stabilization(p: GroupParams, w: str, k_max: int) -> tuple[list[int],
     target = scale(p, w).value  # the ParseError for a bad letter comes here
     if p.discrete:
         return [1] * k_max, True
-    labels = word_syllables(conjugacy_normalize(p, w))[1]
+    labels = conjugacy_normalize_syllables(p, *_read_syllables(w))[1]  # z is never written
     seq = []
     x = 1
     for _ in range(k_max):
@@ -140,7 +140,7 @@ def orbit_order(p: GroupParams, w: str) -> int:
     is the trace of the reversed, sign-flipped t letters of the reduced
     word, starting from 1.
     """
-    return orbit_order_syllables(p, *word_syllables(w))
+    return orbit_order_syllables(p, *_read_syllables(w))
 
 
 def orbit_order_syllables(p: GroupParams, exps: list[int], signs: list[int]) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import DomainError, InvariantError
 from .params import GroupParams, Record
-from .words import Word, reduce_syllables, syllables_to_word, word_syllables
+from .words import Word, _read_syllables, reduce_syllables, syllables_to_word
 
 # ``fractions`` pulls in ``decimal``: it is imported only where a Fraction
 # is built, and here for annotations alone.
@@ -45,7 +45,7 @@ class ElementNormalForm(Record):
 def element_normal_form(p: GroupParams, w: str) -> ElementNormalForm:
     """Unique canonical form of w; two words get the same form exactly when
     they are equal in BS(m, n)."""
-    exps, signs = reduce_syllables(p, *word_syllables(w))
+    exps, signs = reduce_syllables(p, *_read_syllables(w))
     # a^(qn + r) t = a^r t a^(qm) and a^(qm + r) T = a^r T a^(qn); pushing
     # the carry right cannot create a backtrack because the reduced word has
     # no pinches and carries are multiples of the divisibility modulus.
@@ -96,7 +96,7 @@ def bs1n_normal_form(p: GroupParams, w: str) -> tuple[int, int, int]:
     """
     _require_unit_m(p)
     mn = p.m * p.n
-    exps, signs = word_syllables(w)
+    exps, signs = _read_syllables(w)
     neg, q, pos = 0, exps[0], 0
     for s, e in zip(signs, exps[1:]):
         if s > 0:
@@ -149,7 +149,7 @@ def bs1n_matrix(p: GroupParams, w: str) -> BS1nMatrix:
 
     _require_unit_m(p)
     mn = p.m * p.n
-    exps, signs = word_syllables(w)
+    exps, signs = _read_syllables(w)
     # top_right = num / mn^den, each run a^e after prefix t-exponent k
     # adding e mn^k; den grows when k first drops below -den
     num, den, k = exps[0], 0, 0

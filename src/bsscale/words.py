@@ -17,7 +17,9 @@ slices and serializes as the plain string.  ``word_syllables`` reads a
 methods that split the a runs at the t letters (no Python step per
 letter or per t letter).  A word built by this module is therefore never
 decoded again; the price is one extra copy of its letters, made when the
-``Word`` is built.
+``Word`` is built.  Functions that only read the syllables take a
+``Word``'s stored tuples in place (``_read_syllables``);
+``word_syllables`` gives fresh lists that the caller owns.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .params import GroupParams
 _LETTERS = "aAtT"
 _DIGITS = "0123456789"  # exponents take ASCII digits only
 _INVERT = str.maketrans("aAtT", "AaTt")
+_T_SIGNS = {"t": 1, "T": -1}
 
 
 class Word(str):
@@ -66,7 +69,10 @@ def t_exponent(w: str) -> int:
     homomorphism to the integers on group elements.  Raises ParseError at
     the first letter outside ``a A t T``.
     """
-    return sum(word_syllables(w)[1])
+    if isinstance(w, Word):
+        return sum(w._signs)
+    t_letters = _t_letters(w)
+    return 2 * t_letters.count("t") - len(t_letters)
 
 
 def parse_word(text: str) -> Word:
@@ -78,7 +84,57 @@ def parse_word(text: str) -> Word:
     inverses (``A^2`` is ``a^-2``); exponent 0 contributes nothing.
     Raises ParseError with the byte offset of the offending token, also
     for an exponent too large to expand into letters.
+
+    Text whose whitespace-separated pieces are each one ``x`` or ``x^k``
+    token is read piece by piece from ``str.split``.  Any other text
+    (glued tokens such as ``aTt`` among it), and any text that fails, goes
+    to the character loop ``_parse_chars``, the one place that raises.
     """
+    pieces: list[str] = []
+    exps: list[int] = []  # the a runs closed by a t letter
+    signs: list[int] = []
+    acc = 0  # exponent of the open a run
+    try:
+        for tok in text.split():
+            sign = _T_SIGNS.get(tok)
+            if sign:  # a lone t letter, the commonest token
+                pieces.append(tok)
+                exps.append(acc)
+                acc = 0
+                signs.append(sign)
+                continue
+            ch = tok[0]
+            if ch not in _LETTERS:
+                return _parse_chars(text)
+            exp = 1
+            if len(tok) > 1:
+                digits = tok[2:]
+                # int() raises ValueError on a second sign or past the digit limit
+                if tok[1] != "^" or not (digits.isascii() and digits.lstrip("+-").isdigit()):
+                    return _parse_chars(text)
+                exp = int(digits)
+            if ch in "AT":
+                exp = -exp
+            if ch in "aA":
+                pieces.append("a" * exp if exp >= 0 else "A" * -exp)
+                acc += exp
+            elif exp:
+                pieces.append("t" * exp if exp > 0 else "T" * -exp)
+                exps.append(acc)
+                acc = 0
+                signs += [1 if exp > 0 else -1] * abs(exp)
+                exps += [0] * (abs(exp) - 1)
+    except (ValueError, OverflowError, MemoryError):
+        del pieces, exps, signs
+        return _parse_chars(text)  # it raises the ParseError with its offset
+    exps.append(acc)
+    letters = "".join(pieces)
+    del pieces
+    return Word(letters, exps, signs)
+
+
+def _parse_chars(text: str) -> Word:
+    """``parse_word`` by a loop over the characters of text."""
     pieces: list[str] = []
     exps: list[int] = []  # the a runs closed by a t letter
     signs: list[int] = []
@@ -137,7 +193,7 @@ def format_word(w: str) -> str:
     tokens space separated.  Inverse runs print as negative exponents
     (``TT`` becomes ``t^-2``).  The empty word prints as the empty string.
     """
-    exps, signs = word_syllables(w)
+    exps, signs = _read_syllables(w)
     if _mixes_a_and_A(w, exps, signs):  # one token per maximal letter run
         return " ".join(
             _power_token(run[0].lower(), len(run) if run[0] in "at" else -len(run))
@@ -181,7 +237,7 @@ def _power_token(letter: str, e: int) -> str:
 def free_reduce(w: str) -> Word:
     """Remove adjacent inverse pairs until none remain (free group
     reduction over {a, t}).  Idempotent."""
-    return syllables_to_word(*free_reduce_syllables(*word_syllables(w)))
+    return syllables_to_word(*free_reduce_syllables(*_read_syllables(w)))
 
 
 def is_freely_reduced(w: str) -> bool:
@@ -195,7 +251,7 @@ _T_LETTERS = str.maketrans("", "", "aA")
 # the a letters, resp. the A letters, of each run, with every t letter as "t"
 _A_RUNS = str.maketrans({"A": None, "T": "t"})
 _INV_A_RUNS = str.maketrans({"a": None, "T": "t"})
-_SIGN = {"t": 1, "T": -1}.__getitem__
+_SIGN = _T_SIGNS.__getitem__
 
 
 def word_syllables(w: str) -> tuple[list[int], list[int]]:
@@ -213,14 +269,29 @@ def word_syllables(w: str) -> tuple[list[int], list[int]]:
     return _decode_letters(w)
 
 
-def _decode_letters(w: str) -> tuple[list[int], list[int]]:
-    """The letter decoder: str methods do the work per syllable.  Each a
-    run's exponent is its count of a letters minus its count of A letters,
-    read off two translated copies of w split at the t letters."""
+def _read_syllables(w: str):
+    """``word_syllables`` for a caller that only reads them: a ``Word``'s
+    stored tuples, not copied, or the decoding of any other string."""
+    if isinstance(w, Word):
+        return w._exps, w._signs
+    return _decode_letters(w)
+
+
+def _t_letters(w: str) -> str:
+    """The t letters of w in order, after checking that every letter is
+    one of ``a A t T``; raises ParseError at the first that is not."""
     t_letters = w.translate(_T_LETTERS)
     if t_letters.strip("tT"):
         bad = len(w) - len(w.lstrip("aAtT"))
         raise ParseError(f"invalid letter {w[bad]!r}", bad)
+    return t_letters
+
+
+def _decode_letters(w: str) -> tuple[list[int], list[int]]:
+    """The letter decoder: str methods do the work per syllable.  Each a
+    run's exponent is its count of a letters minus its count of A letters,
+    read off two translated copies of w split at the t letters."""
+    t_letters = _t_letters(w)
     exps = list(map(sub, map(len, w.translate(_A_RUNS).split("t")),
                     map(len, w.translate(_INV_A_RUNS).split("t"))))
     return exps, list(map(_SIGN, t_letters))
@@ -307,7 +378,7 @@ def syllables_pinch_free(p: GroupParams, exps: list[int], signs: list[int]) -> b
 
 
 def is_pinch_free(p: GroupParams, w: str) -> bool:
-    exps, signs = word_syllables(w)
+    exps, signs = _read_syllables(w)
     return syllables_pinch_free(p, exps, signs)
 
 
@@ -318,14 +389,14 @@ def check_traceable(p: GroupParams, w: str) -> list[int]:
     Both tests read syllables only: w is freely reduced iff no a run mixes
     a and A letters and no t^s a^0 t^-s occurs.
     """
-    exps, signs = word_syllables(w)
+    exps, signs = _read_syllables(w)
     if _mixes_a_and_A(w, exps, signs) or not all(
         e or s == u for s, e, u in zip(signs, exps[1:], signs[1:])
     ):
         raise WordConditionError(f"word {format_word(w)!r} is not freely reduced")
     if not syllables_pinch_free(p, exps, signs):
         raise WordConditionError(f"word {format_word(w)!r} contains a pinch")
-    return signs
+    return list(signs)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +407,7 @@ def britton_reduce(p: GroupParams, w: str) -> Word:
     """Alternately free-reduce and remove pinches (leftmost first) until the
     word is freely reduced and pinch-free.  The result equals w in BS(m, n).
     """
-    exps, signs = reduce_syllables(p, *word_syllables(w))
+    exps, signs = reduce_syllables(p, *_read_syllables(w))
     return syllables_to_word(exps, signs)
 
 
@@ -346,15 +417,18 @@ def as_power_of_a(p: GroupParams, w: str) -> int | None:
     A reduced word with surviving t letters cannot lie in <a>, so the
     syllable reduction decides membership outright.
     """
-    exps, signs = reduce_syllables(p, *word_syllables(w))
+    exps, signs = reduce_syllables(p, *_read_syllables(w))
     return exps[0] if not signs else None
 
 
 def equal_elements(p: GroupParams, w: str, u: str) -> bool:
     """Decide w = u in BS(m, n) by reducing w u^-1, joined in syllable form."""
-    we, ws = word_syllables(w)
-    ve, vs = invert_syllables(*word_syllables(u))
-    exps, signs = reduce_syllables(p, we[:-1] + [we[-1] + ve[0]] + ve[1:], ws + vs)
+    we, ws = _read_syllables(w)
+    ue, us = _read_syllables(u)
+    exps = list(we)
+    exps[-1] -= ue[-1]  # the junction run
+    exps += [-e for e in ue[-2::-1]]  # the rest of u^-1
+    exps, signs = reduce_syllables(p, exps, [*ws, *[-s for s in reversed(us)]])
     return not signs and exps[0] == 0
 
 
@@ -367,6 +441,17 @@ def conjugacy_normalize_with_certificate(
 ) -> tuple[Word, str]:
     """Return (z, h) with h z h^-1 = w in BS(m, n) and z z freely reduced and
     pinch-free, so every positive power of z is freely reduced and pinch-free.
+    See ``conjugacy_normalize_syllables``."""
+    exps, signs, h = conjugacy_normalize_syllables(p, *_read_syllables(w))
+    return syllables_to_word(exps, signs), h
+
+
+def conjugacy_normalize_syllables(
+    p: GroupParams, exps, signs
+) -> tuple[list[int], list[int], str]:
+    """``conjugacy_normalize_with_certificate`` on syllables: the syllables
+    of z, in fresh lists, and the letters of h.  z is not written out, so a
+    caller that reads only its t letters never pays for huge a runs.
 
     Four moves are applied greedily in a fixed order, restarting after each:
     (1) cancel a free inverse pair, (2) strip conjugating first/last letter
@@ -384,7 +469,7 @@ def conjugacy_normalize_with_certificate(
     ``a t^N a^2 T^N a`` or ``(t a)^N t (A T)^N``, is quadratic in N.
     """
     m, n = p.m, p.n
-    exps, signs = free_reduce_syllables(*word_syllables(w))
+    exps, signs = free_reduce_syllables(exps, signs)
     h: list[str] = []
     k = 0  # no pinch sits on a sign pair (j, j + 1) with j < k
     while True:
@@ -422,7 +507,7 @@ def conjugacy_normalize_with_certificate(
                 del exps[0], exps[-1], signs[0], signs[-1]
                 exps[-1] += (i + j) // d * e
                 continue  # the interior kept its pairs, so no pinch arose
-        return syllables_to_word(exps, signs), "".join(h)
+        return exps, signs, "".join(h)
 
 
 def conjugacy_normalize(p: GroupParams, w: str) -> Word:

@@ -217,6 +217,16 @@ class TestHugeAnswers:
         code, out, err = invoke(["--output", "json"] + argv)
         assert code == 0 and err == "" and json.loads(out) == payload
 
+    def test_moller_never_writes_the_normalized_word(self, monkeypatch):
+        # z = a^(3^39 + 1) after the pinch cascade: about 4 * 10^18 letters
+        def refuse(exps, signs):
+            raise AssertionError("normalized word written out as letters")
+
+        monkeypatch.setattr(words_module, "syllables_to_word", refuse)
+        argv = ["--group", "1,3", "moller", "--kmax", "2", "t^39 a T^39 a"]
+        code, out, _ = invoke(argv)
+        assert (code, out) == (0, "1 1 | ratio 1 | scale 1 OK\n")
+
 
 class TestJsonMode:
     @pytest.mark.parametrize(

@@ -242,7 +242,9 @@ class TestCensus:
             assert orbit_order_factorization(P46, order) is not None
 
     @pytest.mark.parametrize(
-        "m, n, radius", [(2, 3, 4), (3, -2, 4), (2, 4, 3), (1, 1, 6), (2, 2, 3), (6, 10, 2)]
+        "m, n, radius",
+        [(2, 3, 4), (3, -2, 4), (2, 4, 3), (1, 1, 6), (2, 2, 3), (6, 10, 2),
+         (1, 3, 4), (-1, 2, 5), (3, 6, 3), (2, -3, 4)],
     )
     def test_matches_the_scan_at_every_vertex(self, m, n, radius):
         # one order per sign class must still be each vertex's own order
@@ -252,6 +254,16 @@ class TestCensus:
             orbit_order_bruteforce(p, table.vertex_word(v)) for v in range(len(table.vertices))
         )
         assert orbit_census(p, radius) == brute
+
+    def test_builds_no_ball(self, monkeypatch):
+        want = orbit_census(P23, 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the census built the ball")
+
+        monkeypatch.setattr(cosets, "enumerate_ball", refuse)
+        assert orbit_census(P23, 4) == want
+        assert orbit_census(GroupParams(1, 1), 6) == Counter({1: 13})
 
     def test_a_cycles_appear_in_census(self):
         t = enumerate_ball(P23, 2)

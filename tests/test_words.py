@@ -5,7 +5,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsscale import (
@@ -23,11 +23,14 @@ from bsscale import (
     equal_elements,
     format_word,
     free_reduce,
+    index_bruteforce,
     invert_word,
     is_freely_reduced,
     is_pinch_free,
     modular,
+    moller_stabilization,
     orbit_order,
+    orbit_order_bruteforce,
     parse_word,
     scale,
     structure_report,
@@ -327,15 +330,15 @@ class TestAgainstLetterLoops:
 
 
 def check_same_error_offset(w):
-    """word_syllables, t_exponent and format_word raise at the letter loop's
-    offset, or agree with the letter loops."""
+    """word_syllables, t_exponent and format_word raise the letter loop's
+    error at its offset, or agree with the letter loops."""
     try:
         want = letter_syllables(w)
     except ParseError as exc:
         for fn in (word_syllables, t_exponent, format_word):
             with pytest.raises(ParseError) as got:
                 fn(w)
-            assert got.value.offset == exc.offset
+            assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
     else:
         assert word_syllables(w) == want
         assert t_exponent(w) == sum(want[1])
@@ -433,3 +436,89 @@ class TestSyllableConsumers:
         trace(p, r)
         assert equal_elements(p, w, r)
         assert scale(p, w).exponent == 2
+
+    def test_read_only_kernels_leave_the_word(self):
+        w = parse_word("t a^3 T a t")  # freely reduced and pinch-free in BS(2,3)
+        stored = (w._exps, w._signs)
+        orbit_order(P23, w)
+        orbit_order_bruteforce(P23, w)
+        index_bruteforce(P23, w, 1)
+        index_bruteforce(P23, w, 2)
+        check_traceable(P23, w)
+        t_exponent(w)
+        assert equal_elements(P23, w, w)
+        conjugacy_normalize_with_certificate(P23, w)
+        moller_stabilization(P23, w, 3)
+        element_normal_form(P23, w)
+        britton_reduce(P23, w)
+        format_word(w)
+        trace(P23, w)
+        assert (w._exps, w._signs) == stored == ((0, 3, 1, 0), (1, -1, 1))
+
+
+# ---------------------------------------------------------------------------
+# parse_word reads token text through str.split and sends every other text
+# to the character loop: both must give the same word or the same error.
+
+# every character str.split and str.isspace take as whitespace, sampled
+_SPACES = " \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u1680\u2003\u2028\u2029\u202f\u3000"
+_EXPONENTS = st.one_of(
+    st.integers(-40, 40).map(str),  # zero and negative among them
+    st.integers(0, 40).map(lambda e: f"+{e}"),
+    st.sampled_from([
+        "-0", "+0", "00", "007", "", "+", "-", "+-3", "--1", "1_0", "3x", "2^2",
+        "\u00b2", "1\u0663", "\uff13",  # non-ASCII digits
+        "1" + "0" * 30, "-1" + "0" * 30,  # too large to expand
+        "9" * 4301,  # past the int/str digit limit
+    ]),
+)
+_TOKENS = st.tuples(
+    st.sampled_from("aAtTaAtTxb^"), st.one_of(st.none(), _EXPONENTS)
+).map(lambda t: t[0] if t[1] is None else f"{t[0]}^{t[1]}")
+# an empty separator glues two tokens
+_SEPARATORS = st.one_of(st.just(""), st.text(alphabet=_SPACES, min_size=1, max_size=3))
+_TEXTS = st.tuples(
+    _SEPARATORS, st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=10)
+).map(lambda t: t[0] + "".join(tok + sep for tok, sep in t[1]))
+# only x and x^k tokens between spaces: every one reads through str.split
+_TOKEN_TEXTS = st.lists(
+    st.tuples(st.sampled_from("aAtT"), st.one_of(st.none(), st.integers(-40, 40))), max_size=12
+).map(lambda toks: " ".join(ch if e is None else f"{ch}^{e}" for ch, e in toks))
+
+
+def _parse_outcome(parse, text):
+    try:
+        w = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.offset)
+    return ("word", str(w), w._exps, w._signs)
+
+
+class TestParsePaths:
+    @given(_TEXTS)
+    @settings(max_examples=500)
+    @example("a^2 t\u3000T^-3\xa0A^+0 t^0")
+    @example("a^2t T")
+    @example("a^\u00b2 t")
+    @example("t a^" + "9" * 4301)
+    @example("a t^1" + "0" * 30)
+    @example("a^+-3")
+    def test_same_as_the_character_loop(self, text):
+        want = _parse_outcome(words_module._parse_chars, text)
+        assert _parse_outcome(parse_word, text) == want
+
+    @given(_TOKEN_TEXTS)
+    @settings(max_examples=200)
+    def test_token_text_skips_the_character_loop(self, text):
+        want = _parse_outcome(words_module._parse_chars, text)
+
+        def refuse(text):
+            raise AssertionError("token text went to the character loop")
+
+        original = words_module._parse_chars
+        words_module._parse_chars = refuse
+        try:
+            got = _parse_outcome(parse_word, text)
+        finally:
+            words_module._parse_chars = original
+        assert got == want
