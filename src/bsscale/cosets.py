@@ -170,15 +170,11 @@ def _scan_into_a(p: GroupParams, y, d_max: int) -> int | None:
     needs n | x and leaves a^(x/n*m), or t a^x T (s = -1), which needs
     m | x and leaves a^(x/m*n).  The a runs beside the two cancelled
     letters are a run of Y and its negative, so they add nothing, and the
-    junction exponent starts at d.  Most d fail at the first pinch, so
-    that test runs on its own before the chain.
+    junction exponent starts at d.
     """
     _, signs = reduce_syllables(p, *y)
     pinches = [(p.m, p.n) if s < 0 else (p.n, p.m) for s in signs]
-    first = pinches[0][0] if pinches else 1
     for d in range(1, d_max + 1):
-        if d % first:
-            continue
         a = d
         for mod, mul in pinches:
             if a % mod:

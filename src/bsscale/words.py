@@ -69,10 +69,7 @@ def t_exponent(w: str) -> int:
     homomorphism to the integers on group elements.  Raises ParseError at
     the first letter outside ``a A t T``.
     """
-    if isinstance(w, Word):
-        return sum(w._signs)
-    t_letters = _t_letters(w)
-    return 2 * t_letters.count("t") - len(t_letters)
+    return sum(_read_syllables(w)[1])
 
 
 def parse_word(text: str) -> Word:
@@ -277,21 +274,14 @@ def _read_syllables(w: str):
     return _decode_letters(w)
 
 
-def _t_letters(w: str) -> str:
-    """The t letters of w in order, after checking that every letter is
-    one of ``a A t T``; raises ParseError at the first that is not."""
-    t_letters = w.translate(_T_LETTERS)
-    if t_letters.strip("tT"):
-        bad = len(w) - len(w.lstrip("aAtT"))
-        raise ParseError(f"invalid letter {w[bad]!r}", bad)
-    return t_letters
-
-
 def _decode_letters(w: str) -> tuple[list[int], list[int]]:
     """The letter decoder: str methods do the work per syllable.  Each a
     run's exponent is its count of a letters minus its count of A letters,
     read off two translated copies of w split at the t letters."""
-    t_letters = _t_letters(w)
+    t_letters = w.translate(_T_LETTERS)
+    if t_letters.strip("tT"):
+        bad = len(w) - len(w.lstrip("aAtT"))
+        raise ParseError(f"invalid letter {w[bad]!r}", bad)
     exps = list(map(sub, map(len, w.translate(_A_RUNS).split("t")),
                     map(len, w.translate(_INV_A_RUNS).split("t"))))
     return exps, list(map(_SIGN, t_letters))
@@ -443,15 +433,20 @@ def conjugacy_normalize_with_certificate(
     pinch-free, so every positive power of z is freely reduced and pinch-free.
     See ``conjugacy_normalize_syllables``."""
     exps, signs, h = conjugacy_normalize_syllables(p, *_read_syllables(w))
-    return syllables_to_word(exps, signs), h
+    h_letters = "".join(
+        ("a" * c if c >= 0 else "A" * -c) + ("t" if s > 0 else "T" if s else "")
+        for c, s in h
+    )
+    return syllables_to_word(exps, signs), h_letters
 
 
 def conjugacy_normalize_syllables(
     p: GroupParams, exps, signs
-) -> tuple[list[int], list[int], str]:
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """``conjugacy_normalize_with_certificate`` on syllables: the syllables
-    of z, in fresh lists, and the letters of h.  z is not written out, so a
-    caller that reads only its t letters never pays for huge a runs.
+    of z, in fresh lists, and h as its pieces (c, s), each a^c followed by
+    t^s with s in {1, -1, 0}.  Neither z nor h is written out, so a caller
+    that reads only the t letters of z never pays for huge a runs.
 
     Four moves are applied greedily in a fixed order, restarting after each:
     (1) cancel a free inverse pair, (2) strip conjugating first/last letter
@@ -470,21 +465,21 @@ def conjugacy_normalize_syllables(
     """
     m, n = p.m, p.n
     exps, signs = free_reduce_syllables(exps, signs)
-    h: list[str] = []
+    h: list[tuple[int, int]] = []
     k = 0  # no pinch sits on a sign pair (j, j + 1) with j < k
     while True:
         i, j = exps[0], exps[-1]
         # move 2 on a letters: y = a^c z a^-c, emptying the shorter end run
         if i * j < 0:
             c = i if abs(i) < abs(j) else -j
-            h.append("a" * c + "A" * -c)
+            h.append((c, 0))
             exps[0], exps[-1] = i - c, j + c
             continue
         # move 2 on t letters: strip end pairs t^s ... t^-s while the a runs outside are 0
         if i == j == 0 and len(signs) > 1 and signs[0] != signs[-1]:
             r = next((q for q in range(1, len(signs) // 2)
                       if exps[q] or exps[~q] or signs[q] == signs[~q]), len(signs) // 2)
-            h += ["t" if s > 0 else "T" for s in signs[:r]]
+            h += [(0, s) for s in signs[:r]]
             del exps[:r], exps[-r:], signs[:r], signs[-r:]
             k = max(k - r, 0)
             continue
@@ -503,11 +498,11 @@ def conjugacy_normalize_syllables(
         if len(signs) > 1 and signs[0] != signs[-1]:
             d, e = (m, n) if signs[0] < 0 else (n, m)
             if (i + j) % d == 0:
-                h.append("a" * i + "A" * -i + ("t" if signs[0] > 0 else "T"))
+                h.append((i, signs[0]))
                 del exps[0], exps[-1], signs[0], signs[-1]
                 exps[-1] += (i + j) // d * e
                 continue  # the interior kept its pairs, so no pinch arose
-        return exps, signs, "".join(h)
+        return exps, signs, h
 
 
 def conjugacy_normalize(p: GroupParams, w: str) -> Word:

@@ -217,13 +217,15 @@ class TestHugeAnswers:
         code, out, err = invoke(["--output", "json"] + argv)
         assert code == 0 and err == "" and json.loads(out) == payload
 
-    def test_moller_never_writes_the_normalized_word(self, monkeypatch):
-        # z = a^(3^39 + 1) after the pinch cascade: about 4 * 10^18 letters
+    # z = a^(3^39 + 1) after the pinch cascade: about 4 * 10^18 letters; in
+    # the second word the wrap move also conjugates by a^(3^39 - 1) T
+    @pytest.mark.parametrize("word", ["t^39 a T^39 a", "t^39 a T^39 T a t A"])
+    def test_moller_never_writes_the_normalized_word(self, word, monkeypatch):
         def refuse(exps, signs):
             raise AssertionError("normalized word written out as letters")
 
         monkeypatch.setattr(words_module, "syllables_to_word", refuse)
-        argv = ["--group", "1,3", "moller", "--kmax", "2", "t^39 a T^39 a"]
+        argv = ["--group", "1,3", "moller", "--kmax", "2", word]
         code, out, _ = invoke(argv)
         assert (code, out) == (0, "1 1 | ratio 1 | scale 1 OK\n")
 
