@@ -15,6 +15,7 @@ from .errors import BudgetError
 from .graph import _strip, step
 from .params import GroupParams, Record
 from .words import (
+    _read_free_syllables,
     _read_syllables,
     conjugacy_normalize_syllables,
     reduce_syllables,
@@ -103,9 +104,9 @@ def pi_kernel(p: GroupParams) -> int:
 def moller_sequence(p: GroupParams, w: str, k_max: int) -> list[int]:
     """Indices r_k = [<a> : <a> intersect z^-k <a> z^k] for k = 1..k_max,
     where z is the conjugacy normalization of w (its powers stay pinch-free,
-    so the intersection graph computes each index).  Consecutive ratios
-    stabilize to scale(w) once k exceeds twice the t^-1 letter count of z,
-    certifying the asymptotic index formula lim r_k^(1/k) = s(w).
+    so the intersection graph computes each index).  Every consecutive
+    ratio r_(k+1) / r_k equals scale(w), from k = 1 on, certifying the
+    asymptotic index formula lim r_k^(1/k) = s(w).
 
     When |m| = |n| the completion is discrete and every index is reported
     as 1.
@@ -114,21 +115,20 @@ def moller_sequence(p: GroupParams, w: str, k_max: int) -> list[int]:
 
 
 def moller_stabilization(p: GroupParams, w: str, k_max: int) -> tuple[list[int], bool]:
-    """The index sequence plus whether every ratio past the engineering
-    bound 2N + 1 (N the t^-1 count of the normalized word) equals scale(w).
+    """The index sequence plus whether every consecutive ratio
+    r_(k+1) / r_k, from k = 1 on, equals scale(w).
     A discrete group normalizes nothing: every index and the scale are 1."""
     target = scale(p, w).value  # the ParseError for a bad letter comes here
     if p.discrete:
         return [1] * k_max, True
-    labels = conjugacy_normalize_syllables(p, *_read_syllables(w))[1]  # z is never written
+    labels = conjugacy_normalize_syllables(p, *_read_free_syllables(w))[1]  # z is never written
     seq = []
     x = 1
     for _ in range(k_max):
         for eps in labels:
             x = step(p, x, eps)
         seq.append(x)
-    bound = 2 * labels.count(-1) + 1
-    ok = all(seq[k] == seq[k - 1] * target for k in range(bound, len(seq)))
+    ok = all(seq[k] == seq[k - 1] * target for k in range(1, len(seq)))
     return seq, ok
 
 

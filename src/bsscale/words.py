@@ -13,13 +13,20 @@ a^(e0) t^(s1) a^(e1) ... t^(sk) a^(ek), a pair (exponents, signs).  Public
 functions take any letter string and return a ``Word``: a ``str`` of the
 same letters that also stores its syllables, so it compares, hashes,
 slices and serializes as the plain string.  ``word_syllables`` reads a
-``Word``'s stored form and decodes any other string, once, with str
-methods that split the a runs at the t letters (no Python step per
-letter or per t letter).  A word built by this module is therefore never
-decoded again; the price is one extra copy of its letters, made when the
-``Word`` is built.  Functions that only read the syllables take a
-``Word``'s stored tuples in place (``_read_syllables``);
+``Word``'s stored form and decodes any other string, once, with bytes
+methods on its ASCII encoding that split the a runs at the t letters (no
+Python step per letter or per t letter).  A word built by this module is
+therefore never decoded again; the price is one extra copy of its
+letters, made when the ``Word`` is built.  Functions that only read the
+syllables take a ``Word``'s stored tuples in place (``_read_syllables``);
 ``word_syllables`` gives fresh lists that the caller owns.
+
+Free reduction starts in the decoder for the callers that begin with it
+(``free_reduce``, conjugacy normalization and so ``moller``): their plain
+strings lose every ``tT`` and ``Tt`` at C speed before the split
+(``_read_free_syllables``), and the syllable loop finishes the job.
+Britton reduction is not confluent, and cutting the pairs first changes
+its result on some words, so it decodes every letter.
 """
 
 from __future__ import annotations
@@ -234,7 +241,7 @@ def _power_token(letter: str, e: int) -> str:
 def free_reduce(w: str) -> Word:
     """Remove adjacent inverse pairs until none remain (free group
     reduction over {a, t}).  Idempotent."""
-    return syllables_to_word(*free_reduce_syllables(*_read_syllables(w)))
+    return syllables_to_word(*free_reduce_syllables(*_read_free_syllables(w)))
 
 
 def is_freely_reduced(w: str) -> bool:
@@ -244,11 +251,8 @@ def is_freely_reduced(w: str) -> bool:
 # ---------------------------------------------------------------------------
 # Syllable form.
 
-_T_LETTERS = str.maketrans("", "", "aA")
-# the a letters, resp. the A letters, of each run, with every t letter as "t"
-_A_RUNS = str.maketrans({"A": None, "T": "t"})
-_INV_A_RUNS = str.maketrans({"a": None, "T": "t"})
-_SIGN = _T_SIGNS.__getitem__
+_T_TO_t = bytes.maketrans(b"T", b"t")
+_SIGN_BYTES = bytes.maketrans(b"tT", b"\x01\xff")  # the signed bytes 1, -1
 
 
 def word_syllables(w: str) -> tuple[list[int], list[int]]:
@@ -274,17 +278,39 @@ def _read_syllables(w: str):
     return _decode_letters(w)
 
 
-def _decode_letters(w: str) -> tuple[list[int], list[int]]:
-    """The letter decoder: str methods do the work per syllable.  Each a
-    run's exponent is its count of a letters minus its count of A letters,
-    read off two translated copies of w split at the t letters."""
-    t_letters = w.translate(_T_LETTERS)
-    if t_letters.strip("tT"):
+def _read_free_syllables(w: str):
+    """``_read_syllables`` for a caller that begins with a complete free
+    reduction: a plain string is decoded with every ``tT`` and ``Tt`` cut
+    out once after its letters are checked.  Free reduction is confluent,
+    so the freely reduced syllables are the same.  Britton reduction does
+    not begin with one, and the ``bs1n_*`` oracles read the word as given:
+    they use ``_read_syllables``."""
+    if isinstance(w, Word):
+        return w._exps, w._signs
+    return _decode_letters(w, drop_t_pairs=True)
+
+
+def _decode_letters(w: str, drop_t_pairs: bool = False) -> tuple[list[int], list[int]]:
+    """The letter decoder: bytes methods on the ASCII encoding of w do the
+    work per syllable.  Each a run's exponent is its count of a letters
+    minus its count of A letters, read off two translated copies split at
+    the t letters; the t letters become the signed bytes 1 and -1.  With
+    ``drop_t_pairs`` every ``tT`` and ``Tt`` is cut out once first."""
+    try:
+        b = w.encode("ascii")
+    except UnicodeEncodeError:
+        b = b"?"  # a non-ASCII character is never a letter
+    t_letters = b.translate(None, b"aA")
+    if t_letters.translate(None, b"tT"):
         bad = len(w) - len(w.lstrip("aAtT"))
         raise ParseError(f"invalid letter {w[bad]!r}", bad)
-    exps = list(map(sub, map(len, w.translate(_A_RUNS).split("t")),
-                    map(len, w.translate(_INV_A_RUNS).split("t"))))
-    return exps, list(map(_SIGN, t_letters))
+    if drop_t_pairs:
+        cut = b.replace(b"tT", b"").replace(b"Tt", b"")
+        if len(cut) < len(b):
+            b, t_letters = cut, cut.translate(None, b"aA")
+    exps = list(map(sub, map(len, b.translate(_T_TO_t, b"A").split(b"t")),
+                    map(len, b.translate(_T_TO_t, b"a").split(b"t"))))
+    return exps, memoryview(t_letters.translate(_SIGN_BYTES)).cast("b").tolist()
 
 
 def syllables_to_word(exps: list[int], signs: list[int]) -> Word:
@@ -432,7 +458,7 @@ def conjugacy_normalize_with_certificate(
     """Return (z, h) with h z h^-1 = w in BS(m, n) and z z freely reduced and
     pinch-free, so every positive power of z is freely reduced and pinch-free.
     See ``conjugacy_normalize_syllables``."""
-    exps, signs, h = conjugacy_normalize_syllables(p, *_read_syllables(w))
+    exps, signs, h = conjugacy_normalize_syllables(p, *_read_free_syllables(w))
     h_letters = "".join(
         ("a" * c if c >= 0 else "A" * -c) + ("t" if s > 0 else "T" if s else "")
         for c, s in h
@@ -455,13 +481,15 @@ def conjugacy_normalize_syllables(
     Each move strictly decreases (t-letter count, length) lexicographically.
 
     The moves act on syllables, one per pass.  Free reduction is completed
-    once up front.  Later, a free pair can only appear inside the word, where
-    a pinch left an empty a run between opposite t letters; that pair is the
-    leftmost pinch (c = 0), and no strip applies first as the ends did not
-    change.  A strip takes a whole end run at once, and the pinch search
-    resumes one syllable left of the last change.  But every move deletes
-    from the lists at a cost of their length, so a cascade of N moves, as in
-    ``a t^N a^2 T^N a`` or ``(t a)^N t (A T)^N``, is quadratic in N.
+    once up front; for a plain string ``_read_free_syllables`` has already
+    cut out its adjacent t pairs.  Later, a free pair can only appear
+    inside the word, where a pinch left an empty a run between opposite t
+    letters; that pair is the leftmost pinch (c = 0), and no strip applies
+    first as the ends did not change.  A strip takes a whole end run at
+    once, and the pinch search resumes one syllable left of the last
+    change.  But every move deletes from the lists at a cost of their
+    length, so a cascade of N moves, as in ``a t^N a^2 T^N a`` or
+    ``(t a)^N t (A T)^N``, is quadratic in N.
     """
     m, n = p.m, p.n
     exps, signs = free_reduce_syllables(exps, signs)

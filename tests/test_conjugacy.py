@@ -180,3 +180,20 @@ run_words = st.lists(
 @settings(max_examples=600, deadline=None)
 def test_matches_greedy_reference(p, w):
     assert conjugacy_normalize_with_certificate(p, w) == greedy_normalize(p, w)
+
+
+# A plain string loses its adjacent t pairs before it is decoded; a Word
+# keeps its stored syllables.  Free reduction is confluent, so both give
+# the same (z, h), and z the same syllables.
+t_dense_words = st.text(alphabet="aAtTtT", max_size=40)
+
+
+@given(all_groups, st.one_of(t_dense_words, run_words))
+@example(P23, "tTatTAt")
+@example(P23, "TtTtatT")
+@settings(max_examples=400, deadline=None)
+def test_plain_string_same_as_its_word(p, w):
+    z, h = conjugacy_normalize_with_certificate(p, w)
+    zw, hw = conjugacy_normalize_with_certificate(p, parse_word(w))
+    assert (z, h) == (zw, hw)
+    assert word_syllables(z) == word_syllables(zw)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bsscale import (
     GroupParams,
     flat_rank,
+    index_bruteforce,
     invert_word,
     modular,
     moller_sequence,
@@ -107,6 +108,16 @@ class TestMoller:
             with pytest.raises(ParseError, match="invalid letter 'x'"):
                 moller_stabilization(p, "x", 3)
 
+    def test_ratios_checked_from_the_first(self, monkeypatch):
+        # TaTaTaTa has four t^-1 letters, so a check that began past
+        # 2N + 1 = 9 would compare no ratio at k_max = 8
+        w = "TaTaTaTa"
+        seq, ok = moller_stabilization(P23, w, 8)
+        assert ok and seq == [81**k for k in range(1, 9)]
+        wrong = invariants.ScaleValue(80, 1)
+        monkeypatch.setattr(invariants, "scale", lambda p, w: wrong)
+        assert moller_stabilization(P23, w, 8) == (seq, False)
+
     @given(groups, words)
     @settings(max_examples=200, deadline=None)
     def test_ratios_stabilize_at_bound(self, p, w):
@@ -151,6 +162,18 @@ class TestModular:
         assert Fraction(mv.numerator, mv.denominator) == Fraction(
             scale(p, w).value, scale(p, invert_word(w)).value
         )
+
+    @given(
+        st.builds(GroupParams, st.integers(-5, 5).filter(bool), st.integers(1, 5)),
+        st.text(alphabet="aAtT", max_size=7),
+    )
+    @settings(max_examples=300)
+    def test_equals_index_ratio(self, p, w):
+        # the modular function is the index ratio of the closure of <a>:
+        # [<a> : <a> intersect w^-1 <a> w] / [<a> : <a> intersect w <a> w^-1]
+        mv = modular(p, w)
+        assert (index_bruteforce(p, w, 1) * mv.denominator
+                == index_bruteforce(p, invert_word(w), 1) * mv.numerator)
 
     @given(groups, words, words)
     @settings(max_examples=200)

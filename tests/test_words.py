@@ -17,6 +17,7 @@ from bsscale import (
     britton_reduce,
     bs1n_matrix,
     bs1n_normal_form,
+    conjugacy_normalize,
     conjugacy_normalize_with_certificate,
     coset_word,
     element_normal_form,
@@ -156,6 +157,18 @@ class TestFreeReduce:
         assert is_freely_reduced(r)
         assert free_reduce(r) == r
 
+    # the callers that begin with a free reduction cut out the t pairs of
+    # a plain string, but only after its letters are checked
+    @pytest.mark.parametrize("w", ["tTx", "atTA\u00e9", "aAx", "TtTt?", "tT tT", "atTA\u00e9tT"])
+    def test_bad_letter_behind_a_pair(self, w):
+        with pytest.raises(ParseError) as want:
+            word_syllables(w)
+        for fn in (free_reduce, lambda w: conjugacy_normalize(P23, w),
+                   lambda w: moller_stabilization(P23, w, 3)):
+            with pytest.raises(ParseError) as got:
+                fn(w)
+            assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
+
 
 class TestBritton:
     def test_relation_pinch(self):
@@ -170,6 +183,15 @@ class TestBritton:
     def test_signed_exponent(self):
         # t a^-2 T = a^-3 under t a^(2c) T -> a^(3c) with c = -1
         assert britton_reduce(P23, parse_word("t a^-2 T")) == "AAA"
+
+    def test_reads_every_letter(self):
+        # Britton reduction must not cut out t pairs first: it is not
+        # confluent.  In BS(1,3) taTt reduces to aaat, but with its Tt cut
+        # out to ta (the same element, another word).
+        p = GroupParams(1, 3)
+        assert britton_reduce(p, "ttaTtaTAatTtttTa") == "taaaaaatta"
+        assert britton_reduce(p, "taTt") == "aaat"
+        assert britton_reduce(p, "ta") == "ta"
 
     @given(groups, words)
     @settings(max_examples=150)
