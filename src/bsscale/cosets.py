@@ -3,11 +3,10 @@
 A radius-R ball of the tree is enumerated as canonical left cosets of <a>
 (vertices), with the partial permutation action of the generators and
 orbit/index scans that decide through word reduction alone, independently
-of the intersection-graph calculus.  The exception is ``orbit_census``: it
-builds no ball, walks the t-sign sequences of its vertices with the count
-of vertices on each, takes one orbit order per sign sequence from
-``invariants.orbit_order_syllables``, the ``step`` route, and checks only
-that the order has the admissible shape.
+of the intersection-graph calculus.  ``orbit_census`` builds no ball: it
+counts the vertices by the lowest and highest points of their t-sign
+walks, which fix their orbit orders through the level geometry of
+``graph``.  It rests on that closed form, and the orbit scan checks it.
 
 Both scans ask, for d = 1, 2, ..., whether Y^-1 a^d Y lies in <a>: the
 orbit of <a> on w<a> with Y = w, and Moller's displacement index
@@ -26,7 +25,6 @@ from collections import Counter
 
 from .errors import BudgetError, DomainError, InvariantError
 from .graph import _dot
-from .invariants import orbit_order_factorization, orbit_order_syllables
 from .normal_forms import CosetId, ElementNormalForm, coset_of, coset_word
 from .params import DEFAULT_BUDGET, GroupParams, Record
 from .words import (
@@ -152,8 +150,10 @@ def index_bruteforce(p: GroupParams, w: str, k: int) -> int | None:
     [<a> : <a> intersect w^-k <a> w^k].  None if ``default_scan_bound`` is
     passed.  Raises DomainError unless k >= 1.
     """
-    wk = _power_syllables(*_read_syllables(w), k)
-    return _scan_into_a(p, invert_syllables(*wk), default_scan_bound(p, w, k))
+    y = _read_syllables(w)
+    _check_power(k)
+    wk = _power_syllables(*y, k)
+    return _scan_into_a(p, invert_syllables(*wk), _scan_bound(p, len(wk[1])))
 
 
 def _scan_into_a(p: GroupParams, y, d_max: int) -> int | None:
@@ -198,10 +198,14 @@ def _power_syllables(we, ws, k: int):
 def default_scan_bound(p: GroupParams, w: str, k: int = 1) -> int:
     """Scan ceiling g * (l/|m|)^B * (l/|n|)^B with B the t-letter count of
     w^k; orbit and index values always sit below it.  Raises DomainError
-    unless k >= 1."""
+    unless k >= 1, then ParseError at the first letter outside ``a A t T``."""
+    _check_power(k)
+    return _scan_bound(p, k * len(_read_syllables(w)[1]))
+
+
+def _check_power(k: int) -> None:
     if k < 1:
         raise DomainError(f"power k must be at least 1, got {k}")
-    return _scan_bound(p, k * (w.count("t") + w.count("T")))
 
 
 def _scan_bound(p: GroupParams, b: int) -> int:
@@ -228,37 +232,28 @@ def orbit_census(
     counted without building the ball.
 
     The order at u<a> is the least d with u^-1 a^d u in <a>.  As in the
-    scans, the a runs of the reduced u cancel around each pinch of
-    u^-1 a^d u, so the order depends only on the t-letter signs of u.  The
-    census walks the t-sign sequences of length at most ``radius`` in the
-    order ``enumerate_ball`` first meets them, each with its vertex count:
-    a coset word puts one of |n| residues before a t letter and one of |m|
-    before a t^-1 letter, one fewer (no 0) after a letter of the opposite
-    sign.  Each sequence's order is computed once, from its first coset
-    word, with residue 0, or 1 after an opposite sign.
-
-    Every order must decompose as g' (l/|m|)^r (l/|n|)^s with g' dividing
-    gcd(|m|, |n|); a violation raises, since it would falsify the orbit
-    arithmetic this module cross-checks.  Raises BudgetError as
-    ``enumerate_ball`` does.
+    scans, it depends only on the t-letter signs of the reduced u: with P
+    their walk of prefix sums, it is g (l/|n|)^(-min P) (l/|m|)^(max P),
+    the level geometry of ``graph``, and 1 at the base vertex.  The census
+    counts the walks of length at most ``radius`` by their state (end,
+    max, min, last sign), each with its vertex count: a coset word puts one
+    of |n| residues before a t letter and one of |m| before a t^-1 letter,
+    one fewer (no 0) after a letter of the opposite sign.  Raises
+    BudgetError as ``enumerate_ball`` does.
     """
     _check_ball_budget(p, radius, budget)
-    residues = {1: abs(p.n), -1: abs(p.m)}
-    census: Counter[int] = Counter()
-    level = [([0], [], 1)]  # (exps, signs) of a first coset word, vertex count
-    for r in range(radius + 1):
-        nxt = []
-        for exps, signs, count in level:
-            d = orbit_order_syllables(p, exps, signs)
-            if orbit_order_factorization(p, d) is None:
-                raise InvariantError(f"orbit order {d} outside the admissible shape")
-            census[d] += count
-            if r == radius:
-                continue
-            for s in (1, -1):
-                back = int(bool(signs) and signs[-1] == -s)  # residue 0 backtracks
-                if residues[s] > back:
-                    nxt.append((exps[:-1] + [back, 0], signs + [s], count * (residues[s] - back)))
+    census = Counter({1: 1})
+    level = Counter({(0, 0, 0, 0): 1})  # (end, max, min, last sign): vertex count
+    for _ in range(radius):
+        nxt = Counter()
+        for (end, hi, lo, last), count in level.items():
+            for s, residues in ((1, abs(p.n)), (-1, abs(p.m))):
+                residues -= last == -s  # residue 0 backtracks
+                if residues:
+                    e = end + s
+                    nxt[e, max(hi, e), min(lo, e), s] += count * residues
+        for (_, hi, lo, _), count in nxt.items():
+            census[p.g * p.l_over_n**-lo * p.l_over_m**hi] += count
         level = nxt
     return census
 

@@ -74,7 +74,11 @@ def scale(p: GroupParams, w: str) -> ScaleValue:
     """Scale of the element represented by w: (l/|n|)^rho for rho >= 0,
     else (l/|m|)^|rho|.  In the divisor case n = m r this degenerates to
     1 for rho >= 0 and |r|^|rho| otherwise."""
-    rho = t_exponent(w)
+    return _scale_at(p, t_exponent(w))
+
+
+def _scale_at(p: GroupParams, rho: int) -> ScaleValue:
+    """The scale of every element with t-exponent rho."""
     if rho >= 0:
         return ScaleValue(base=p.l_over_n, exponent=rho)
     return ScaleValue(base=p.l_over_m, exponent=-rho)
@@ -117,11 +121,13 @@ def moller_sequence(p: GroupParams, w: str, k_max: int) -> list[int]:
 def moller_stabilization(p: GroupParams, w: str, k_max: int) -> tuple[list[int], bool]:
     """The index sequence plus whether every consecutive ratio
     r_(k+1) / r_k, from k = 1 on, equals scale(w).
-    A discrete group normalizes nothing: every index and the scale are 1."""
-    target = scale(p, w).value  # the ParseError for a bad letter comes here
+    A discrete group normalizes nothing: every index and the scale are 1.
+    The word is read once; cutting its t pairs keeps its t-exponent."""
+    exps, signs = _read_free_syllables(w)  # the ParseError for a bad letter comes here
     if p.discrete:
         return [1] * k_max, True
-    labels = conjugacy_normalize_syllables(p, *_read_free_syllables(w))[1]  # z is never written
+    target = _scale_at(p, sum(signs)).value
+    labels = conjugacy_normalize_syllables(p, exps, signs)[1]  # z is never written
     seq = []
     x = 1
     for _ in range(k_max):
@@ -140,12 +146,7 @@ def orbit_order(p: GroupParams, w: str) -> int:
     is the trace of the reversed, sign-flipped t letters of the reduced
     word, starting from 1.
     """
-    return orbit_order_syllables(p, *_read_syllables(w))
-
-
-def orbit_order_syllables(p: GroupParams, exps: list[int], signs: list[int]) -> int:
-    """orbit_order of the word with syllables (exps, signs)."""
-    _, signs = reduce_syllables(p, exps, signs)
+    _, signs = reduce_syllables(p, *_read_syllables(w))
     x = 1
     for s in reversed(signs):
         x = step(p, x, -s)

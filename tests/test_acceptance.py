@@ -13,6 +13,7 @@ from bsscale import (
     GroupParams,
     bs1n_matrix,
     bs1n_normal_form,
+    conjugacy_normalize,
     edges_from,
     enumerate_ball,
     flat_rank,
@@ -27,6 +28,7 @@ from bsscale import (
     parse_word,
     pi_kernel,
     scale,
+    scale_value_set,
     shortest_path_len,
     step_h,
     structure_report,
@@ -265,3 +267,31 @@ def test_c12_local_structure():
         if rep.swap_applied != (t_exponent(w) < 0):
             ok = False
     _report(12, "tidy prime content and swap flag on negative exponent", ok)
+
+
+def _freely_reduced_words(length):
+    """Every freely reduced word of at most ``length`` letters."""
+    inverse = {"a": "A", "A": "a", "t": "T", "T": "t"}
+    level = [""]
+    for _ in range(length + 1):
+        yield from level
+        level = [w + c for w in level for c in "aAtT" if not w or inverse[c] != w[-1]]
+
+
+def test_c14_scale_set_and_flat_rank_from_indices():
+    # index ratios of the normalized z, by the scan alone: r_2 = s(w) r_1,
+    # the ratios make up the scale set up to the length, and they are all
+    # 1 exactly in flat rank 0
+    length = 5
+    ok = True
+    for m, n in ((2, 3), (3, -2), (4, 6), (2, 4), (1, 3), (2, 2), (-3, 3)):
+        p = GroupParams(m, n)
+        ratios = set()
+        for w in _freely_reduced_words(length):
+            z = conjugacy_normalize(p, w)
+            r1, r2 = index_bruteforce(p, z, 1), index_bruteforce(p, z, 2)
+            ok = ok and r2 == scale(p, w).value * r1
+            ratios.add(Fraction(r2, r1))
+        ok = ok and ratios == scale_value_set(p, length)
+        ok = ok and (ratios == {1}) == (flat_rank(p) == 0)
+    _report(14, "index ratios of normalized words give the scale set and the flat rank", ok)

@@ -22,7 +22,7 @@ from bsscale import (
     orbit_order_factorization,
     trace,
 )
-from bsscale import cosets, graph, invariants
+from bsscale import cosets, graph
 from bsscale.cosets import _scan_into_a
 from bsscale.sampling import random_pinch_free_word
 from bsscale.words import invert_syllables, reduce_syllables
@@ -220,12 +220,35 @@ class TestJunctionScan:
 
         monkeypatch.setattr(graph, "step", refuse)
         monkeypatch.setattr(graph, "trace", refuse)
-        monkeypatch.setattr(invariants, "orbit_order_syllables", refuse)
-        monkeypatch.setattr(cosets, "orbit_order_syllables", refuse)
         assert orbit_order_bruteforce(P23, "tt") == 9
         assert orbit_order_bruteforce(P23, "tatT") == 3
         assert index_bruteforce(P23, "t", 3) == 8
         assert index_bruteforce(P24, "T", 2) == 8
+
+
+def _reference_census(p, radius):
+    """The census one t-sign class at a time: each class's vertex count,
+    and its order from the reduced first coset word (residue 0, or 1 after
+    an opposite sign) by the ``step`` fold.  ``orbit_census`` must give the
+    same Counter."""
+    residues = {1: abs(p.n), -1: abs(p.m)}
+    census = Counter()
+    level = [([0], [], 1)]  # (exps, signs) of a first coset word, vertex count
+    for r in range(radius + 1):
+        nxt = []
+        for exps, signs, count in level:
+            x = 1
+            for s in reversed(reduce_syllables(p, exps, signs)[1]):
+                x = graph.step(p, x, -s)
+            census[x] += count
+            if r == radius:
+                continue
+            for s in (1, -1):
+                back = int(bool(signs) and signs[-1] == -s)  # residue 0 backtracks
+                if residues[s] > back:
+                    nxt.append((exps[:-1] + [back, 0], signs + [s], count * (residues[s] - back)))
+        level = nxt
+    return census
 
 
 class TestCensus:
@@ -254,6 +277,20 @@ class TestCensus:
             orbit_order_bruteforce(p, table.vertex_word(v)) for v in range(len(table.vertices))
         )
         assert orbit_census(p, radius) == brute
+
+    @pytest.mark.parametrize(
+        "m, n, radius",
+        [(2, 3, 12), (3, -2, 10), (-4, 6, 6), (2, 4, 7), (1, 3, 14), (-1, 2, 14),
+         (3, 3, 8), (-2, 2, 9), (4, 6, 6), (6, 10, 4)],
+    )
+    def test_matches_the_sign_class_walk(self, m, n, radius):
+        p = GroupParams(m, n)
+        for r in range(radius + 1):
+            assert orbit_census(p, r, budget=10**9) == _reference_census(p, r)
+
+    def test_line_group_at_a_large_radius(self):
+        # BS(1,1) = Z^2: the ball is a line of 2R + 1 vertices, all fixed by a
+        assert orbit_census(GroupParams(1, 1), 20000) == Counter({1: 40001})
 
     def test_builds_no_ball(self, monkeypatch):
         want = orbit_census(P23, 4)

@@ -55,3 +55,13 @@ def test_every_export_resolves_and_is_listed():
     for name in bsscale.__all__:
         assert getattr(bsscale, name) is not None
         assert name in listed
+
+
+def test_brute_force_module_loads_no_closed_forms():
+    # the brute-force module checks the closed forms of invariants, so it does not import them
+    code = "import bsscale.cosets, sys; print('bsscale.invariants' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert res.stdout == "False\n"

@@ -115,7 +115,7 @@ class TestMoller:
         seq, ok = moller_stabilization(P23, w, 8)
         assert ok and seq == [81**k for k in range(1, 9)]
         wrong = invariants.ScaleValue(80, 1)
-        monkeypatch.setattr(invariants, "scale", lambda p, w: wrong)
+        monkeypatch.setattr(invariants, "_scale_at", lambda p, rho: wrong)
         assert moller_stabilization(P23, w, 8) == (seq, False)
 
     @given(groups, words)

@@ -39,6 +39,7 @@ from bsscale import (
     trace,
 )
 from bsscale import words as words_module
+from bsscale.cosets import default_scan_bound
 from bsscale.words import (
     check_traceable,
     format_syllables,
@@ -115,6 +116,8 @@ class TestParse:
             (lambda w: scale(P23, w), "tx", 1),
             (lambda w: modular(P23, w), "tAq", 2),
             (lambda w: structure_report(P23, w), "Tz", 1),
+            pytest.param(lambda w: default_scan_bound(P23, w), "tx", 1,
+                         id="default_scan_bound-tx-1"),
         ],
     )
     def test_invalid_letters_carry_offset(self, fn, w, offset):
@@ -458,6 +461,20 @@ class TestSyllableConsumers:
         trace(p, r)
         assert equal_elements(p, w, r)
         assert scale(p, w).exponent == 2
+
+    @pytest.mark.parametrize("p", [P23, GroupParams(2, -2)])
+    def test_moller_decodes_a_plain_string_once(self, p, monkeypatch):
+        calls = []
+        decode = words_module._decode_letters
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(words_module, "_decode_letters", counted)
+        w = "aTtA" * 50 + "tatT"
+        assert moller_stabilization(p, w, 3) == moller_stabilization(p, parse_word(w), 3)
+        assert calls == [w]
 
     def test_read_only_kernels_leave_the_word(self):
         w = parse_word("t a^3 T a t")  # freely reduced and pinch-free in BS(2,3)
