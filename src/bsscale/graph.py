@@ -70,7 +70,9 @@ def step_h(p: GroupParams, x: int, eps: int, h: int) -> int:
 def _fold(p: GroupParams, labels, start: int, h: int) -> int:
     x = start
     for eps in labels:
-        x = math.lcm(step(p, x, eps), h)
+        x = step(p, x, eps)
+        if h > 1:  # the lcm with 1 changes nothing
+            x = math.lcm(x, h)
     return x
 
 

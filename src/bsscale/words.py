@@ -21,6 +21,13 @@ letters, made when the ``Word`` is built.  Functions that only read the
 syllables take a ``Word``'s stored tuples in place (``_read_syllables``);
 ``word_syllables`` gives fresh lists that the caller owns.
 
+Token text is read and written at about one Python step per token.
+``parse_word`` checks the whole text once (ASCII, no ``_``) and then
+leaves each exponent to ``int``; every spelling of one t letter is a dict
+lookup.  ``format_syllables`` writes the a tokens in one comprehension
+and each t run inline.  The letters of a parsed ``Word`` are still
+written out, by string repetition at C speed.
+
 Free reduction starts in the decoder for the callers that begin with it
 (``free_reduce``, conjugacy normalization and so ``moller``): their plain
 strings lose every ``tT`` and ``Tt`` at C speed before the split
@@ -40,7 +47,12 @@ from .params import GroupParams
 _LETTERS = "aAtT"
 _DIGITS = "0123456789"  # exponents take ASCII digits only
 _INVERT = str.maketrans("aAtT", "AaTt")
-_T_SIGNS = {"t": 1, "T": -1}
+# every spelling of a single t letter, with its sign
+_T_SIGNS = {
+    "t": 1, "t^1": 1, "t^+1": 1, "T^-1": 1,
+    "T": -1, "T^1": -1, "T^+1": -1, "t^-1": -1,
+}
+_SHORT_A = ("", "a", "A")  # the a token of an exponent in {0, 1, -1}, by index
 
 
 class Word(str):
@@ -89,11 +101,16 @@ def parse_word(text: str) -> Word:
     Raises ParseError with the byte offset of the offending token, also
     for an exponent too large to expand into letters.
 
-    Text whose whitespace-separated pieces are each one ``x`` or ``x^k``
-    token is read piece by piece from ``str.split``.  Any other text
-    (glued tokens such as ``aTt`` among it), and any text that fails, goes
-    to the character loop ``_parse_chars``, the one place that raises.
+    ASCII text without ``_`` is read token by token from ``str.split``,
+    at about one Python step per token: each spelling of one t letter
+    (``t``, ``t^1``, ``T^-1``, ...) is one dict lookup, and an ``x^k``
+    token is one slice and one ``int``.  Any other text (glued tokens such
+    as ``aTt`` among it, or non-ASCII characters), and any text that
+    fails, goes to the character loop ``_parse_chars``, the one place that
+    raises.
     """
+    if not text.isascii() or "_" in text:
+        return _parse_chars(text)
     pieces: list[str] = []
     exps: list[int] = []  # the a runs closed by a t letter
     signs: list[int] = []
@@ -101,8 +118,8 @@ def parse_word(text: str) -> Word:
     try:
         for tok in text.split():
             sign = _T_SIGNS.get(tok)
-            if sign:  # a lone t letter, the commonest token
-                pieces.append(tok)
+            if sign:  # one t letter, the commonest token
+                pieces.append("t" if sign > 0 else "T")
                 exps.append(acc)
                 acc = 0
                 signs.append(sign)
@@ -110,13 +127,16 @@ def parse_word(text: str) -> Word:
             ch = tok[0]
             if ch not in _LETTERS:
                 return _parse_chars(text)
-            exp = 1
-            if len(tok) > 1:
-                digits = tok[2:]
-                # int() raises ValueError on a second sign or past the digit limit
-                if tok[1] != "^" or not (digits.isascii() and digits.lstrip("+-").isdigit()):
-                    return _parse_chars(text)
-                exp = int(digits)
+            if len(tok) == 1:
+                exp = 1
+            elif tok[1] == "^":
+                # A token of str.split on ASCII text without "_" holds no
+                # whitespace and no underscore, and int() accepts such a
+                # string exactly when it is [+-]?[0-9]+: it raises
+                # ValueError on any other exponent, and past the digit limit.
+                exp = int(tok[2:])
+            else:
+                return _parse_chars(text)
             if ch in "AT":
                 exp = -exp
             if ch in "aA":
@@ -208,16 +228,21 @@ def format_word(w: str) -> str:
 
 def format_syllables(exps: list[int], signs: list[int]) -> str:
     """``format_word`` of the word with syllables (exps, signs), each a run
-    written in one letter, read off the syllables without building letters.
+    written in one letter, read off the syllables without building letters:
+    every a token comes from one comprehension, and each maximal t run
+    (signs of one sign with empty a runs between them) is written inline.
     """
-    tokens = [_power_token("a", exps[0])]
-    k = 0
-    while k < len(signs):
-        s, run = signs[k], 1
-        while k + run < len(signs) and signs[k + run] == s and not exps[k + run]:
-            run += 1
-        k += run
-        tokens += (_power_token("t", s * run), _power_token("a", exps[k]))
+    a_tokens = [_SHORT_A[e] if -1 <= e <= 1 else f"a^{e}" for e in exps]
+    tokens = [a_tokens[0]]
+    k, last = 0, len(signs)
+    while k < last:
+        s = signs[k]
+        end = k + 1
+        while end < last and signs[end] == s and not exps[end]:
+            end += 1
+        tokens.append(f"t^{s * (end - k)}" if end - k > 1 else "t" if s > 0 else "T")
+        tokens.append(a_tokens[end])
+        k = end
     return " ".join(filter(None, tokens))
 
 
@@ -535,5 +560,6 @@ def conjugacy_normalize_syllables(
 
 def conjugacy_normalize(p: GroupParams, w: str) -> Word:
     """Conjugate w to a word z whose square (hence every positive power) is
-    freely reduced and pinch-free."""
-    return conjugacy_normalize_with_certificate(p, w)[0]
+    freely reduced and pinch-free.  The conjugator is not written out."""
+    exps, signs, _ = conjugacy_normalize_syllables(p, *_read_free_syllables(w))
+    return syllables_to_word(exps, signs)

@@ -48,6 +48,12 @@ def test_strips_a_long_t_run_at_once():
     assert conjugacy_normalize_with_certificate(P23, w) == ("a", "t" * 20000)
 
 
+def test_normalizes_without_writing_the_conjugator():
+    # h holds about a^(3^39), which no letter string can hold; z is t a^-2
+    w = parse_word("A t^39 a T^39 T a t t t^39 A T^39")
+    assert conjugacy_normalize(GroupParams(1, 3), w) == "tAA"
+
+
 def test_boundary_pinch_move():
     # aTata is pinch-free but its square holds the straddling pinch taaT
     w = "aTata"

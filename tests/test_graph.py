@@ -1,5 +1,8 @@
 """Lazy intersection graph: transitions, tracing, node geometry, distances."""
 
+import math
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,8 @@ from bsscale.graph import (
     nodes_through,
     to_dot,
 )
+from bsscale.sampling import random_pinch_free_word
+from bsscale.words import word_syllables
 
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
@@ -99,6 +104,21 @@ class TestTrace:
             trace(P23, "a", start=0)
         with pytest.raises(NotANodeError):
             trace(P23, "a", h=0)
+
+    @given(
+        st.sampled_from([P23, P24, P46, GroupParams(3, -2), GroupParams(-2, 4), GroupParams(1, 3)]),
+        st.integers(0, 2**32),
+        st.integers(1, 60),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fold_of_step_h(self, p, seed, start, h):
+        w = random_pinch_free_word(p, Random(seed), 14)
+        signs = word_syllables(w)[1]
+        x = start
+        for eps in signs:
+            x = step_h(p, x, eps, h)
+        assert trace(p, w, start, h) == (x if signs else math.lcm(start, h))
 
     def test_rejects_unreduced(self):
         with pytest.raises(WordConditionError):

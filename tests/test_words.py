@@ -325,6 +325,8 @@ class TestAgainstLetterLoops:
 
     @given(st.one_of(words, run_words))
     @settings(max_examples=300)
+    @example("tttaTT")  # t runs of more than one letter
+    @example("att")
     def test_format(self, w):
         assert format_word(w) == letter_format(w)
 
@@ -401,10 +403,12 @@ class TestWordSyllables:
 
     @given(groups, token_text)
     @settings(max_examples=150)
+    @example(P23, "t^3 a T^-2")  # t runs of more than one letter
+    @example(P23, "a t t")
     def test_format_syllables_matches_format_word(self, p, text):
         # every built Word but the parsed one writes each a run in one letter
         for w in built_words(p, text)[1:]:
-            assert format_syllables(*word_syllables(w)) == format_word(w)
+            assert format_syllables(*word_syllables(w)) == format_word(w) == letter_format(w)
 
     def test_behaves_as_its_letters(self):
         w = parse_word("t a^2 T A")
@@ -542,12 +546,18 @@ class TestParsePaths:
     @example("t a^" + "9" * 4301)
     @example("a t^1" + "0" * 30)
     @example("a^+-3")
+    @example("t T t^1 t^-1 t^+1 T^1 T^-1 T^+1")  # every spelling of one t letter
+    @example("a^1_0 t")  # int() would read 1_0 as 10
+    @example("a^007 t^+1")
+    @example("a^2\u3000t^-1")  # non-ASCII whitespace
+    @example("t a^\u0663")  # a non-ASCII digit that int() reads
     def test_same_as_the_character_loop(self, text):
         want = _parse_outcome(words_module._parse_chars, text)
         assert _parse_outcome(parse_word, text) == want
 
     @given(_TOKEN_TEXTS)
     @settings(max_examples=200)
+    @example("t T t^1 t^-1 t^+1 T^1 T^-1 T^+1 a^007 A^+0")
     def test_token_text_skips_the_character_loop(self, text):
         want = _parse_outcome(words_module._parse_chars, text)
 
