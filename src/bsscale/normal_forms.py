@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from .errors import DomainError, InvariantError
 from .params import GroupParams, Record
-from .words import Word, _read_syllables, reduce_syllables, syllables_to_word
+from .words import (
+    Word,
+    _read_free_syllables,
+    _read_syllables,
+    reduce_syllables,
+    syllables_to_word,
+)
 
 # ``fractions`` pulls in ``decimal``: it is imported only where a Fraction
 # is built, and here for annotations alone.
@@ -92,11 +98,15 @@ def bs1n_normal_form(p: GroupParams, w: str) -> tuple[int, int, int]:
 
     Syllables are absorbed left to right into the state (neg, q, pos) using
     t a^x = a^(x m n) t and a^x T = T a^(x m n), then inner pinches
-    T a^(cn) t = a^(cm) are stripped.
+    T a^(cn) t = a^(cm) are stripped.  The triple is the element's unique
+    form, so a plain string is read with its free t pairs cut out
+    (``_read_free_syllables``), and an empty a run costs no power: for
+    ``T^N a t^N`` the loop takes one power, not N.  No reduction of the
+    word is used, so the form stays an independent check of it.
     """
     _require_unit_m(p)
     mn = p.m * p.n
-    exps, signs = _read_syllables(w)
+    exps, signs = _read_free_syllables(w)
     neg, q, pos = 0, exps[0], 0
     for s, e in zip(signs, exps[1:]):
         if s > 0:
@@ -106,7 +116,8 @@ def bs1n_normal_form(p: GroupParams, w: str) -> tuple[int, int, int]:
         else:
             neg += 1
             q *= mn
-        q += e * mn**pos
+        if e:
+            q += e * mn**pos
     while neg > 0 and pos > 0 and q % p.n == 0:
         q = (q // p.n) * p.m
         neg -= 1
@@ -144,12 +155,18 @@ class BS1nMatrix(Record):
 def bs1n_matrix(p: GroupParams, w: str) -> BS1nMatrix:
     """Image of w under a -> [[1,1],[0,1]], t -> [[mn,0],[0,1]]; a faithful
     homomorphism for |m| = 1.  (For m = 1 the t image is [[n,0],[0,1]]; the
-    extra sign makes the relation hold for m = -1 as well.)"""
+    extra sign makes the relation hold for m = -1 as well.)
+
+    A free pair ``tT`` or ``Tt`` maps to the identity, so a plain string is
+    read with those pairs cut out (``_read_free_syllables``), and an empty
+    a run adds no power: ``T^N a t^N`` costs one power, not N.  No
+    reduction of the word is used, so the matrix stays an independent
+    check of it."""
     from fractions import Fraction
 
     _require_unit_m(p)
     mn = p.m * p.n
-    exps, signs = _read_syllables(w)
+    exps, signs = _read_free_syllables(w)
     # top_right = num / mn^den, each run a^e after prefix t-exponent k
     # adding e mn^k; den grows when k first drops below -den
     num, den, k = exps[0], 0, 0
@@ -158,5 +175,6 @@ def bs1n_matrix(p: GroupParams, w: str) -> BS1nMatrix:
         if k + den < 0:
             num *= mn
             den += 1
-        num += e * mn ** (k + den)
+        if e:
+            num += e * mn ** (k + den)
     return BS1nMatrix(Fraction(mn) ** k, Fraction(num, mn**den))

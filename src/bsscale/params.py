@@ -66,7 +66,8 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._values = property(operator.attrgetter(*cls.__slots__))
+        # not a method: self._get_fields(obj) gives obj's fields in slot order
+        cls._get_fields = operator.attrgetter(*cls.__slots__)
         if "__init__" in cls.__dict__:
             cls._set_fields = _make_setter(cls, "_set_fields")
         else:
@@ -74,11 +75,11 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values == other._values
+            return self._get_fields(self) == self._get_fields(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values)
+        return hash(self._get_fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(
@@ -93,12 +94,12 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return _rebuild, (self.__class__, self._values)
+        return _rebuild, (self.__class__, self._get_fields(self))
 
     def as_dict(self) -> dict:
         return {
             name: list(value) if isinstance(value, tuple) else value
-            for name, value in zip(self.__slots__, self._values)
+            for name, value in zip(self.__slots__, self._get_fields(self))
         }
 
 

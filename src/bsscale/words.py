@@ -29,9 +29,10 @@ and each t run inline.  The letters of a parsed ``Word`` are still
 written out, by string repetition at C speed.
 
 Free reduction starts in the decoder for the callers that begin with it
-(``free_reduce``, conjugacy normalization and so ``moller``): their plain
-strings lose every ``tT`` and ``Tt`` at C speed before the split
-(``_read_free_syllables``), and the syllable loop finishes the job.
+(``free_reduce``, conjugacy normalization and so ``moller``) and for the
+BS(1, n) oracles in ``normal_forms``, whose answers no free pair changes:
+their plain strings lose every ``tT`` and ``Tt`` at C speed before the
+split (``_read_free_syllables``), and the syllable loop finishes the job.
 Britton reduction is not confluent, and cutting the pairs first changes
 its result on some words, so it decodes every letter.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 import re
 from operator import sub
 
-from .errors import ParseError, WordConditionError
+from .errors import DomainError, ParseError, WordConditionError
 from .params import GroupParams
 
 _LETTERS = "aAtT"
@@ -305,11 +306,12 @@ def _read_syllables(w: str):
 
 def _read_free_syllables(w: str):
     """``_read_syllables`` for a caller that begins with a complete free
-    reduction: a plain string is decoded with every ``tT`` and ``Tt`` cut
-    out once after its letters are checked.  Free reduction is confluent,
-    so the freely reduced syllables are the same.  Britton reduction does
-    not begin with one, and the ``bs1n_*`` oracles read the word as given:
-    they use ``_read_syllables``."""
+    reduction, or whose answer no free pair changes: a plain string is
+    decoded with every ``tT`` and ``Tt`` cut out once after its letters
+    are checked.  Free reduction is confluent, so the freely reduced
+    syllables are the same, and the ``bs1n_*`` oracles compute an image or
+    a unique form of the element.  Britton reduction does not begin with
+    one, so it uses ``_read_syllables``."""
     if isinstance(w, Word):
         return w._exps, w._signs
     return _decode_letters(w, drop_t_pairs=True)
@@ -482,12 +484,19 @@ def conjugacy_normalize_with_certificate(
 ) -> tuple[Word, str]:
     """Return (z, h) with h z h^-1 = w in BS(m, n) and z z freely reduced and
     pinch-free, so every positive power of z is freely reduced and pinch-free.
-    See ``conjugacy_normalize_syllables``."""
+    See ``conjugacy_normalize_syllables``.  Raises DomainError when h is too
+    large to write as letters; that function returns it as pieces."""
     exps, signs, h = conjugacy_normalize_syllables(p, *_read_free_syllables(w))
-    h_letters = "".join(
-        ("a" * c if c >= 0 else "A" * -c) + ("t" if s > 0 else "T" if s else "")
-        for c, s in h
-    )
+    try:
+        h_letters = "".join(
+            ("a" * c if c >= 0 else "A" * -c) + ("t" if s > 0 else "T" if s else "")
+            for c, s in h
+        )
+    except (OverflowError, MemoryError):
+        raise DomainError(
+            "conjugator too large to write as letters;"
+            " conjugacy_normalize_syllables returns it as pieces"
+        ) from None
     return syllables_to_word(exps, signs), h_letters
 
 

@@ -1,9 +1,11 @@
 """Conjugacy normalization: pinch-free squares with a conjugator certificate."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsscale import (
+    DomainError,
     GroupParams,
     conjugacy_normalize,
     conjugacy_normalize_with_certificate,
@@ -14,7 +16,7 @@ from bsscale import (
     parse_word,
     t_exponent,
 )
-from bsscale.words import word_syllables
+from bsscale.words import conjugacy_normalize_syllables, word_syllables
 
 P23 = GroupParams(2, 3)
 
@@ -52,6 +54,18 @@ def test_normalizes_without_writing_the_conjugator():
     # h holds about a^(3^39), which no letter string can hold; z is t a^-2
     w = parse_word("A t^39 a T^39 T a t t t^39 A T^39")
     assert conjugacy_normalize(GroupParams(1, 3), w) == "tAA"
+
+
+def test_conjugator_too_large_to_write():
+    # the certificate cannot write h as letters; the syllable form gives
+    # z, and h as pieces
+    p = GroupParams(1, 3)
+    w = parse_word("A t^39 a T^39 T a t t t^39 A T^39")
+    with pytest.raises(DomainError, match="conjugacy_normalize_syllables"):
+        conjugacy_normalize_with_certificate(p, w)
+    exps, signs, h = conjugacy_normalize_syllables(p, *word_syllables(w))
+    assert (exps, signs) == ([0, -2], [1])
+    assert max(abs(c) for c, _ in h) > 3**38
 
 
 def test_boundary_pinch_move():

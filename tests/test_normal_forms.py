@@ -1,11 +1,12 @@
 """Canonical element forms and the BS(1, n) normal form / matrix oracle."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractions import Fraction
 
+from bsscale import normal_forms, words as words_module
 from bsscale import (
     BS1nMatrix,
     DomainError,
@@ -95,6 +96,9 @@ class TestBS1nNormalForm:
             bs1n_matrix(P23, "t")
 
     @given(unit_groups, words)
+    @example(P12, "tT")  # free t pairs, which the form reads cut out
+    @example(GroupParams(1, 3), "aTtA")
+    @example(GroupParams(-1, 2), "TtatT")
     @settings(max_examples=200)
     def test_form_is_faithful(self, p, w):
         neg, q, pos = bs1n_normal_form(p, w)
@@ -135,9 +139,42 @@ class TestBS1nMatrix:
         assert (bs1n_matrix(p, w) == bs1n_matrix(p, u)) == equal_elements(p, w, u)
 
     @given(unit_groups, st.one_of(words, run_words))
+    @example(P12, "tT")  # free t pairs, which the matrix reads cut out
+    @example(GroupParams(1, 3), "aTtA")
+    @example(GroupParams(-1, 2), "TtatT")
     @settings(max_examples=100)
     def test_matches_letter_product(self, p, w):
         assert bs1n_matrix(p, w) == letter_product(p, w)
+
+
+class TestBS1nOracles:
+    # an empty a run costs no power, so each word takes one power, not N
+    @pytest.mark.parametrize("read", [parse_word, lambda text: str(parse_word(text))],
+                             ids=["word", "plain"])
+    def test_conjugates_of_a_by_a_t_power(self, read):
+        n = 20_000
+        w = read(f"T^{n} a t^{n}")
+        assert bs1n_matrix(P12, w) == BS1nMatrix(Fraction(1), Fraction(1, 2**n))
+        assert bs1n_normal_form(P12, w) == (n, 1, n)
+        w = read(f"t^{n} a T^{n}")
+        assert bs1n_matrix(P12, w) == BS1nMatrix(Fraction(1), Fraction(2**n))
+        assert bs1n_normal_form(P12, w) == (0, 2**n, 0)
+
+    def test_answers_without_any_reduction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle used a reduction it checks")
+
+        # in words and wherever normal_forms binds one of them itself
+        for module in (words_module, normal_forms):
+            for name in ("reduce_syllables", "free_reduce_syllables",
+                         "conjugacy_normalize_syllables"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for w in ("", "tT", "aTtA", "TtatT", "taaT", "Taat", "tAtTTa", parse_word("T a^4 t t T")):
+            assert bs1n_matrix(P12, w) == letter_product(P12, w)
+            neg, q, pos = bs1n_normal_form(P12, w)
+            back = "T" * neg + ("a" * q if q >= 0 else "A" * -q) + "t" * pos
+            assert letter_product(P12, back) == letter_product(P12, w)
 
 
 def letter_product(p, w):

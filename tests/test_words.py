@@ -47,6 +47,7 @@ from bsscale.words import (
     word_syllables,
 )
 
+P12 = GroupParams(1, 2)
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
 P2m3 = GroupParams(2, -3)
@@ -160,14 +161,16 @@ class TestFreeReduce:
         assert is_freely_reduced(r)
         assert free_reduce(r) == r
 
-    # the callers that begin with a free reduction cut out the t pairs of
-    # a plain string, but only after its letters are checked
+    # the callers that begin with a free reduction, and the BS(1, n)
+    # oracles, cut out the t pairs of a plain string, but only after its
+    # letters are checked
     @pytest.mark.parametrize("w", ["tTx", "atTA\u00e9", "aAx", "TtTt?", "tT tT", "atTA\u00e9tT"])
     def test_bad_letter_behind_a_pair(self, w):
         with pytest.raises(ParseError) as want:
             word_syllables(w)
         for fn in (free_reduce, lambda w: conjugacy_normalize(P23, w),
-                   lambda w: moller_stabilization(P23, w, 3)):
+                   lambda w: moller_stabilization(P23, w, 3),
+                   lambda w: bs1n_matrix(P12, w), lambda w: bs1n_normal_form(P12, w)):
             with pytest.raises(ParseError) as got:
                 fn(w)
             assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
