@@ -4,7 +4,8 @@ Every command is parameterized by a global ``--group m,n`` flag and writes
 deterministic text (default) or JSON to stdout; diagnostics and notices go
 to stderr.  ``ball`` and ``omega-edges`` also write their graph as DOT with
 ``--dot PATH``.  Exit codes: 0 success, 1 usage error (including an
-unwritable ``--dot`` path), 2 word parse error (including an exponent too
+unwritable ``--dot`` path, and a stdout closed before the answer is
+written), 2 word parse error (including an exponent too
 large to expand), 3 domain error (bad parameters, size budget, graph
 queries outside their domain, an answer past Python's int/str digit
 limit), 4 selfcheck failure.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 import bsscale
@@ -423,7 +425,15 @@ def _selfcheck(p, args):
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed (e.g. by ``| head``): send the exit-time flush
+        # to devnull, as the signal docs' "Note on SIGPIPE" does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _USAGE_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -147,11 +147,12 @@ def orbit_order_bruteforce(
 def index_bruteforce(p: GroupParams, w: str, k: int) -> int | None:
     """Minimal e >= 1 with w^k a^e w^-k a power of a: the generator exponent
     of <a> intersect w^-k <a> w^k, whose value is the index
-    [<a> : <a> intersect w^-k <a> w^k].  None if ``default_scan_bound`` is
-    passed.  Raises DomainError unless k >= 1.
+    [<a> : <a> intersect w^-k <a> w^k].  None past the
+    ``default_scan_bound`` of w^k.  Raises DomainError unless k >= 1.
     """
     y = _read_syllables(w)
-    _check_power(k)
+    if k < 1:
+        raise DomainError(f"power k must be at least 1, got {k}")
     wk = _power_syllables(*y, k)
     return _scan_into_a(p, invert_syllables(*wk), _scan_bound(p, len(wk[1])))
 
@@ -195,17 +196,11 @@ def _power_syllables(we, ws, k: int):
     return exps, signs
 
 
-def default_scan_bound(p: GroupParams, w: str, k: int = 1) -> int:
+def default_scan_bound(p: GroupParams, w: str) -> int:
     """Scan ceiling g * (l/|m|)^B * (l/|n|)^B with B the t-letter count of
-    w^k; orbit and index values always sit below it.  Raises DomainError
-    unless k >= 1, then ParseError at the first letter outside ``a A t T``."""
-    _check_power(k)
-    return _scan_bound(p, k * len(_read_syllables(w)[1]))
-
-
-def _check_power(k: int) -> None:
-    if k < 1:
-        raise DomainError(f"power k must be at least 1, got {k}")
+    w; orbit and index values always sit below it.  Raises ParseError at
+    the first letter outside ``a A t T``."""
+    return _scan_bound(p, len(_read_syllables(w)[1]))
 
 
 def _scan_bound(p: GroupParams, b: int) -> int:

@@ -172,8 +172,8 @@ def orbit_order_factorization(
 
 def scale_value_set(p: GroupParams, rho_max: int) -> set[int]:
     """All scale values of elements with |t-exponent| <= rho_max."""
-    return {p.l_over_m**k for k in range(rho_max + 1)} | {
-        p.l_over_n**k for k in range(rho_max + 1)
+    return {
+        b**k for b in (p.l_over_m, p.l_over_n) for k in range(rho_max + 1 if b > 1 else 1)
     }
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -31,6 +32,85 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def _bsscale(argv, cwd, **kwargs):
+    """``python -W error -m bsscale.cli *argv`` as a process, with 10 s to
+    finish."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    command = [sys.executable, "-W", "error", "-m", "bsscale.cli", *argv]
+    return subprocess.run(command, env=env, cwd=cwd, text=True, timeout=10, **kwargs)
+
+
+ERROR_CLASS = {1: "usage error: ", 2: "parse error: ", 3: "domain error: "}
+
+# The process contract, one row per exit case: (argv as shell words, exit
+# code[, the end of stdout]).  Every case runs as its own process.
+EXIT_CASES = [
+    ("--group 2,3 trace --start 0 t", 3),
+    ("--group 2,3 trace --h 0 t", 3),
+    ("--group 2,3 ball --radius 2 --dot missing-dir/x.dot", 1),
+    ("--group 2,3 reduce a^99999999999999999999", 2),
+    ("--group 2,3 ball --radius -3", 1),
+    ("--group 2,3 census --radius -1", 1),
+    ("--group 2,3 omega-edges --levels -1", 1),
+    ("--group 2,3 trace --start 0 a", 3),
+    ("--group 2,3 trace --h 0 a", 3),
+    ("--group 2,3 reduce a^\u00b2", 2),
+    ("--group 2,3 omega-edges --dot missing-dir/x.dot", 1),
+    ("--group 2,3 orbit-brute --dmax -5 t", 1),
+    ("--group 2,3 ball --radius 1 --dot ''", 1),
+    ("--group 2,3 omega-edges --dot ''", 1),
+    ("--group 2,3 --budget -1 ball --radius 0", 1),
+    (f"--group 2,3 rho t^{'1' * 5000}", 2),
+    (f"--group 2,3 reduce a^{'1' * 5000}", 2),
+    ("--group 2,3 scale t^15000", 3),
+    ("--group 2,3 modular t^15000", 3),
+    ("--group 2,3 trace t^15000", 3),
+    ("--group 2,3 orbit t^15000", 3),
+    ("--group 2,3 --output json scale t^15000", 3),
+    ("--group 2,3 --output json orbit t^15000", 3),
+    ('--group 1,3 reduce "t^9100 a T^9100"', 3),
+    ('--group 1,3 nf "t^9100 a T^9100"', 3),
+    ('--group 1,3 matrix "t^9100 a T^9100"', 3),
+    ('--group 1,3 --output json nf "t^9100 a T^9100"', 3),
+    ("selfcheck --seed 0", 0),
+    ("--group -1,2 moller --kmax 3 t", 0),
+    ('--group 2,3 orbit-brute "t^10"', 0),
+    ("--group 3,6 census --radius 3", 0),
+    ("--group=3,-2 census --radius 4", 0),
+    # four t^-1 letters: a check past 2N + 1 = 9 would compare no ratio
+    ("--group 2,3 moller --kmax 8 TaTaTaTa", 0, " OK\n"),
+    # nested words: one strip per t run, and no normalization when discrete
+    ('--group 2,3 moller --kmax 2 "t^200000 a T^200000"', 0),
+    ('--group 2,2 moller --kmax 2 "a t^300000 a^2 T^300000 a"', 0),
+    # normalized words and conjugators of about 10^19 letters are never written out
+    ('--group 1,3 moller --kmax 2 "t^39 a T^39 a"', 0),
+    ('--group 1,3 moller --kmax 2 "t^39 a T^39 T a t A"', 0),
+    # the census counts walk states: a walk per sign sequence is quadratic here
+    ("--group 1,1 census --radius 20000", 0),
+    ("--group 2,3 moller --kmax 0 t", 1),
+    ('--group 2,3 rho "a^"', 2),
+    # text that int() alone would accept goes to the character loop
+    ('--group 2,3 reduce "a^1_0 t"', 2),
+    ('--group 2,3 reduce "t a^\u0663"', 2),
+    ("--group 2,4 omega-dist 1 2", 3),
+    ("--group 2,3 ball --radius 100000", 3),
+    ("--group 2,3 scale-set --rho-max 15000", 3),
+    ("--group 2,3 omega-edges --levels 100000", 3),
+    ("--group 2,1000000016000000063 structure", 3),
+    ("--group 2,3 moller --kmax 15000 t", 3),
+    ('--group 2,3 orbit-brute "t^24"', 3),
+    ("--group 2,3 moller --kmax 1000000 tATa", 3),
+    # an empty a run costs the matrix no power; the answer has more than
+    # 4,300 digits
+    ('--group 1,2 matrix "T^200000 a t^200000"', 3),
+    ("--group 2,3 scale t", 0, "2\n"),
+    ("--group 0,3 scale t", 3),
+    # discrete groups: both scale bases are 1, so the set is {1} at once
+    ("--group 2,2 scale-set --rho-max 99999999999999999999", 0, "1\n"),
+    ("--group 3,-3 scale-set --rho-max 99999999999999999999", 0, "1\n"),
+]
 
 
 class TestBasicCommands:
@@ -314,41 +394,39 @@ class TestExitCodes:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "argv,expected",
+        "row", EXIT_CASES, ids=[f"argv{i}-{row[1]}" for i, row in enumerate(EXIT_CASES)]
+    )
+    def test_documented_code_without_traceback(self, row, tmp_path):
+        """One real ``python -W error -m bsscale.cli`` process per row: the
+        exact exit code within 10 s and no Traceback.  An error leaves
+        stdout empty and names its class on the last stderr line; a success
+        prints something, ending as the row says."""
+        argv, code, ending = row if len(row) == 3 else (*row, "")
+        res = _bsscale(shlex.split(argv), tmp_path, capture_output=True)
+        assert res.returncode == code and "Traceback" not in res.stderr, res.stderr
+        if code:
+            assert res.stdout == ""
+            assert res.stderr.splitlines()[-1].startswith(ERROR_CLASS[code])
+        else:
+            assert res.stdout.strip() and res.stdout.endswith(ending)
+
+    @pytest.mark.parametrize(
+        "argv",
         [
-            (["trace", "--start", "0", "t"], 3),
-            (["trace", "--h", "0", "t"], 3),
-            (["ball", "--radius", "2", "--dot", "missing-dir/x.dot"], 1),
-            (["reduce", "a^99999999999999999999"], 2),
-            (["ball", "--radius", "-3"], 1),
-            (["census", "--radius", "-1"], 1),
-            (["omega-edges", "--levels", "-1"], 1),
-            (["trace", "--start", "0", "a"], 3),
-            (["trace", "--h", "0", "a"], 3),
-            (["reduce", "a^\u00b2"], 2),
-            (["omega-edges", "--dot", "missing-dir/x.dot"], 1),
-            (["orbit-brute", "--dmax", "-5", "t"], 1),
-            (["ball", "--radius", "1", "--dot", ""], 1),
-            (["omega-edges", "--dot", ""], 1),
-            (["--budget", "-1", "ball", "--radius", "0"], 1),
-            (["rho", "t^" + "1" * 5000], 2),
-            (["reduce", "a^" + "1" * 5000], 2),
-            (["scale", "t^15000"], 3),
-            (["modular", "t^15000"], 3),
-            (["trace", "t^15000"], 3),
-            (["orbit", "t^15000"], 3),
-            (["--output", "json", "scale", "t^15000"], 3),
-            (["--output", "json", "orbit", "t^15000"], 3),
-            (["--group", "1,3", "reduce", "t^9100 a T^9100"], 3),
-            (["--group", "1,3", "nf", "t^9100 a T^9100"], 3),
-            (["--group", "1,3", "matrix", "t^9100 a T^9100"], 3),
-            (["--group", "1,3", "--output", "json", "nf", "t^9100 a T^9100"], 3),
+            '--group 1,2 matrix "T^2000 a t^2000"',
+            "--group 2,3 ball --radius 6",
+            "--group 2,3 scale t",
         ],
     )
-    def test_documented_code_without_traceback(self, argv, expected, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code, out, err = invoke(["--group", "2,3"] + argv)
-        assert code == expected and out == "" and err and "Traceback" not in err
+    def test_closed_stdout_exits_1(self, argv, tmp_path):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = _bsscale(shlex.split(argv), tmp_path, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr and "Exception ignored" not in res.stderr
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -669,16 +747,3 @@ class TestSelfcheck:
         code, out, _ = invoke(["--output", "json", "selfcheck"])
         assert code == 4 and json.loads(out)["failures"] == 1
 
-
-class TestMain:
-    @pytest.mark.parametrize("group,code,out", [("2,3", 0, "2\n"), ("0,3", 3, "")])
-    def test_module_entry_point(self, group, code, out):
-        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        res = subprocess.run(
-            [sys.executable, "-m", "bsscale.cli", "--group", group, "scale", "t"],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert (res.returncode, res.stdout) == (code, out)
-        assert res.stderr.startswith("domain error: ") == (code == 3)

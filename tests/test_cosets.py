@@ -138,8 +138,6 @@ class TestBruteForce:
     def test_index_scan_needs_a_positive_power(self, k):
         with pytest.raises(DomainError, match="at least 1"):
             index_bruteforce(P23, "t", k)
-        with pytest.raises(DomainError, match="at least 1"):
-            cosets.default_scan_bound(P23, "t", k)
 
     def test_orbit_matches_trace_route(self):
         rng = Random(7)

@@ -270,6 +270,9 @@ class TestScaleValueSet:
     def test_divisor_case(self):
         assert scale_value_set(P24, 2) == {1, 2, 4}
 
+    def test_discrete_group_takes_base_one_once(self):
+        assert scale_value_set(GroupParams(1, 1), 10**20) == {1}
+
     @given(groups, words)
     @settings(max_examples=150)
     def test_contains_every_scale(self, p, w):
