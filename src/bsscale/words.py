@@ -14,12 +14,14 @@ functions take any letter string and return a ``Word``: a ``str`` of the
 same letters that also stores its syllables, so it compares, hashes,
 slices and serializes as the plain string.  ``word_syllables`` reads a
 ``Word``'s stored form and decodes any other string, once, with bytes
-methods on its ASCII encoding that split the a runs at the t letters (no
-Python step per letter or per t letter).  A word built by this module is
-therefore never decoded again; the price is one extra copy of its
-letters, made when the ``Word`` is built.  Functions that only read the
-syllables take a ``Word``'s stored tuples in place (``_read_syllables``);
-``word_syllables`` gives fresh lists that the caller owns.
+methods on its ASCII encoding: one split at the t letters, and each a
+run's exponent from a table of short runs (no Python step per letter or
+per t letter, and one for an a run only when it is long and new).  A
+word built by this module is therefore never decoded again; the price
+is one extra copy of its letters, made when the ``Word`` is built.
+Functions that only read the syllables take a ``Word``'s stored tuples
+in place (``_read_syllables``); ``word_syllables`` gives fresh lists
+that the caller owns.
 
 Token text is read and written at about one Python step per token.
 ``parse_word`` checks the whole text once (ASCII, no ``_``) and then
@@ -35,12 +37,15 @@ their plain strings lose every ``tT`` and ``Tt`` at C speed before the
 split (``_read_free_syllables``), and the syllable loop finishes the job.
 Britton reduction is not confluent, and cutting the pairs first changes
 its result on some words, so it decodes every letter.
+
+Conjugacy normalization applies its moves in one left-to-right pass that
+keeps their greedy order, since z depends on that order; each syllable is
+read once, so its cost is linear in the syllables.
 """
 
 from __future__ import annotations
 
 import re
-from operator import sub
 
 from .errors import DomainError, ParseError, WordConditionError
 from .params import GroupParams
@@ -277,7 +282,6 @@ def is_freely_reduced(w: str) -> bool:
 # ---------------------------------------------------------------------------
 # Syllable form.
 
-_T_TO_t = bytes.maketrans(b"T", b"t")
 _SIGN_BYTES = bytes.maketrans(b"tT", b"\x01\xff")  # the signed bytes 1, -1
 
 
@@ -317,11 +321,32 @@ def _read_free_syllables(w: str):
     return _decode_letters(w, drop_t_pairs=True)
 
 
+class _RunExponents(dict):
+    """The exponent of an a run, by its bytes: its count of a letters minus
+    its count of A letters.  A run is computed on its first lookup, and
+    kept when it has at most 8 letters (511 runs), or at most 64 letters
+    of one kind (112 more), so the table stays small and import fills
+    nothing.  A longer run is never kept; two byte searches at C speed
+    tell whether it holds one letter, so only a mixed one is counted."""
+
+    def __missing__(self, run: bytes) -> int:
+        k = len(run)
+        if k > 64:  # 65 and 97 are the bytes of A and a
+            return k if 65 not in run else -k if 97 not in run else k - 2 * run.count(b"A")
+        e = k - 2 * run.count(b"A")
+        if k <= 8 or abs(e) == k:
+            self[run] = e
+        return e
+
+
+_RUN_EXPONENTS = _RunExponents()
+
+
 def _decode_letters(w: str, drop_t_pairs: bool = False) -> tuple[list[int], list[int]]:
     """The letter decoder: bytes methods on the ASCII encoding of w do the
-    work per syllable.  Each a run's exponent is its count of a letters
-    minus its count of A letters, read off two translated copies split at
-    the t letters; the t letters become the signed bytes 1 and -1.  With
+    work per syllable.  One copy with every T made t is split at the t
+    letters, and each a run's exponent is looked up in ``_RUN_EXPONENTS``;
+    the t letters become the signed bytes 1 and -1.  With
     ``drop_t_pairs`` every ``tT`` and ``Tt`` is cut out once first."""
     try:
         b = w.encode("ascii")
@@ -335,8 +360,7 @@ def _decode_letters(w: str, drop_t_pairs: bool = False) -> tuple[list[int], list
         cut = b.replace(b"tT", b"").replace(b"Tt", b"")
         if len(cut) < len(b):
             b, t_letters = cut, cut.translate(None, b"aA")
-    exps = list(map(sub, map(len, b.translate(_T_TO_t, b"A").split(b"t")),
-                    map(len, b.translate(_T_TO_t, b"a").split(b"t"))))
+    exps = list(map(_RUN_EXPONENTS.__getitem__, b.replace(b"T", b"t").split(b"t")))
     return exps, memoryview(t_letters.translate(_SIGN_BYTES)).cast("b").tolist()
 
 
@@ -514,57 +538,93 @@ def conjugacy_normalize_syllables(
     word itself) has a pinch straddling the wrap boundary, conjugate it away.
     Each move strictly decreases (t-letter count, length) lexicographically.
 
-    The moves act on syllables, one per pass.  Free reduction is completed
-    once up front; for a plain string ``_read_free_syllables`` has already
-    cut out its adjacent t pairs.  Later, a free pair can only appear
-    inside the word, where a pinch left an empty a run between opposite t
-    letters; that pair is the leftmost pinch (c = 0), and no strip applies
-    first as the ends did not change.  A strip takes a whole end run at
-    once, and the pinch search resumes one syllable left of the last
-    change.  But every move deletes from the lists at a cost of their
-    length, so a cascade of N moves, as in ``a t^N a^2 T^N a`` or
-    ``(t a)^N t (A T)^N``, is quadratic in N.
+    The order is kept because z depends on it: removing every pinch first
+    and then moving at the ends gives another conjugate (in BS(1, 3),
+    ``taT`` gives z = ``a`` with h = ``t``, not ``a^3``), and ``moller``'s
+    indices depend on the t signs of z.
+
+    Free reduction is completed once up front; for a plain string
+    ``_read_free_syllables`` has already cut out its adjacent t pairs.
+    Later, a free pair can only appear where a pinch left an empty a run
+    between opposite t letters, and that pair is the leftmost pinch
+    (c = 0).  The moves then run in one left-to-right pass, each syllable
+    read once: the word is a read part, kept pinch-free on a stack as in
+    ``reduce_syllables`` (removing the leftmost pinch, then looking again
+    one sign left of it), followed by the unread rest.  A strip takes the
+    first syllable from the bottom of the stack, through an offset, or
+    from the unread rest while the stack holds no t letter, and the last
+    from the end of the unread rest, or from the top of the stack once all
+    is read; it takes one t pair at a time.  The ends change only when a
+    pinch empties the stack or merges into the last a run, so the strips
+    are tried again exactly then, and move 4 only once all is read.
     """
     m, n = p.m, p.n
     exps, signs = free_reduce_syllables(exps, signs)
     h: list[tuple[int, int]] = []
-    k = 0  # no pinch sits on a sign pair (j, j + 1) with j < k
+    # the word: out_e[lo:], out_s[lo:] (pinch-free), then the unread
+    # signs[r:q], each followed by its a run; exps[q] is the last run while r < q
+    out_e, out_s, lo = [exps[0]], [], 0
+    r, q = 0, len(signs)
     while True:
-        i, j = exps[0], exps[-1]
-        # move 2 on a letters: y = a^c z a^-c, emptying the shorter end run
-        if i * j < 0:
-            c = i if abs(i) < abs(j) else -j
-            h.append((c, 0))
-            exps[0], exps[-1] = i - c, j + c
-            continue
-        # move 2 on t letters: strip end pairs t^s ... t^-s while the a runs outside are 0
-        if i == j == 0 and len(signs) > 1 and signs[0] != signs[-1]:
-            r = next((q for q in range(1, len(signs) // 2)
-                      if exps[q] or exps[~q] or signs[q] == signs[~q]), len(signs) // 2)
-            h += [(0, s) for s in signs[:r]]
-            del exps[:r], exps[-r:], signs[:r], signs[-r:]
-            k = max(k - r, 0)
-            continue
-        # move 3: the leftmost pinch, t a^(cm) T or T a^(cn) t
-        while k < len(signs) - 1 and (
-                signs[k] == signs[k + 1] or exps[k + 1] % (m if signs[k] > 0 else n)):
-            k += 1
-        if k < len(signs) - 1:
-            mid = exps[k + 1]
-            exps[k] += (mid // m * n if signs[k] > 0 else mid // n * m) + exps[k + 2]
-            del signs[k : k + 2], exps[k + 1 : k + 3]
-            k = max(k - 1, 0)
-            continue
-        # move 4: y = a^i T v t a^j with m | i + j becomes v a^((i+j)n/m)
-        # after conjugating by a^i T (likewise with t and T swapped)
-        if len(signs) > 1 and signs[0] != signs[-1]:
-            d, e = (m, n) if signs[0] < 0 else (n, m)
-            if (i + j) % d == 0:
-                h.append((i, signs[0]))
-                del exps[0], exps[-1], signs[0], signs[-1]
-                exps[-1] += (i + j) // d * e
-                continue  # the interior kept its pairs, so no pinch arose
-        return exps, signs, h
+        while True:  # move 2, at the ends
+            i = out_e[lo]
+            j = exps[q] if r < q else out_e[-1]
+            # move 2 on a letters: y = a^c z a^-c, emptying the shorter end run
+            if i * j < 0:
+                c = i if abs(i) < abs(j) else -j
+                h.append((c, 0))
+                out_e[lo] = i - c
+                if r < q:
+                    exps[q] = j + c
+                else:
+                    out_e[-1] = j + c
+                continue
+            # move 2 on t letters: strip one end pair t^s ... t^-s between empty a runs
+            if i or j or len(out_s) - lo + q - r < 2:
+                break
+            first = out_s[lo] if len(out_s) > lo else signs[r]
+            if first == (signs[q - 1] if r < q else out_s[-1]):
+                break
+            h.append((0, first))
+            if len(out_s) > lo:
+                lo += 1
+            else:
+                r += 1
+                out_e[lo] = exps[r]
+            if r < q:
+                q -= 1
+            else:
+                out_s.pop()
+                out_e.pop()
+        last = out_s[-1] if len(out_s) > lo else 0  # 0 when the stack holds no t letter
+        # move 3: read on, removing each pinch t a^(cm) T or T a^(cn) t
+        while r < q:
+            s = signs[r]
+            r += 1
+            if last != -s or out_e[-1] % (m if s < 0 else n):
+                out_s.append(s)
+                out_e.append(exps[r])
+                last = s
+            else:
+                top = out_e.pop()
+                out_s.pop()
+                out_e[-1] += (top // m * n if s < 0 else top // n * m) + exps[r]
+                if len(out_s) == lo or r == q:
+                    break  # an end changed
+                last = out_s[-1]
+        else:
+            # move 4: y = a^i T v t a^j with m | i + j becomes v a^((i+j)n/m)
+            # after conjugating by a^i T (likewise with t and T swapped)
+            s = out_s[lo] if len(out_s) - lo > 1 else 0
+            i = out_e[lo]
+            d, e = (m, n) if s < 0 else (n, m)
+            if not s or s == out_s[-1] or (i + out_e[-1]) % d:
+                return out_e[lo:], out_s[lo:], h
+            h.append((i, s))
+            lo += 1
+            out_s.pop()
+            j = out_e.pop()
+            out_e[-1] += (i + j) // d * e  # the interior kept its pairs, so no pinch arose
 
 
 def conjugacy_normalize(p: GroupParams, w: str) -> Word:

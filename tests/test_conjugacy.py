@@ -1,5 +1,9 @@
 """Conjugacy normalization: pinch-free squares with a conjugator certificate."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from bsscale import (
 from bsscale.words import conjugacy_normalize_syllables, word_syllables
 
 P23 = GroupParams(2, 3)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 words = st.text(alphabet="aAtT", max_size=10)
 groups = st.sampled_from(
@@ -66,6 +71,33 @@ def test_conjugator_too_large_to_write():
     exps, signs, h = conjugacy_normalize_syllables(p, *word_syllables(w))
     assert (exps, signs) == ([0, -2], [1])
     assert max(abs(c) for c, _ in h) > 3**38
+
+
+# Cascades of N or more moves, each made possible by the one before: a
+# move that costs the length of the word makes them quadratic in N.  One
+# child process runs all four within the 10 s that a CLI process gets.
+CASCADES = """
+from bsscale import GroupParams, parse_word
+from bsscale.words import conjugacy_normalize_syllables, format_syllables, word_syllables
+N = 100_000
+for m, n, text in [
+    (2, 3, "a t a^2 T " * N + "a"),
+    (2, 2, f"a t^{N} a^2 T^{N} a"),
+    (2, 3, "t a " * N + "t" + " A T" * N),
+    (2, 2, f"a^2 T^{N} a t^{N}"),
+]:
+    exps, signs, h = conjugacy_normalize_syllables(GroupParams(m, n), *word_syllables(parse_word(text)))
+    print(format_syllables(exps, signs), len(h))
+"""
+
+
+def test_cascades_in_linear_time():
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    res = subprocess.run(
+        [sys.executable, "-c", CASCADES], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["a^400001 0", "a^4 0", "t 200000", "a^3 100000"]
 
 
 def test_boundary_pinch_move():
@@ -197,6 +229,9 @@ run_words = st.lists(
 @example(GroupParams(3, -5), "taaTtaaT")
 @example(P23, "tataTaT")  # the t strip stops after one pair, at a nonzero a run
 @example(P23, "tttaTT")  # the t strip stops with one t letter left
+@example(GroupParams(1, 3), "attAT")  # a pinch merges into the last a run
+@example(GroupParams(1, 3), "taTTA")  # a pinch empties the read part
+@example(GroupParams(1, 3), "taT")  # the strip comes before the pinch
 @settings(max_examples=600, deadline=None)
 def test_matches_greedy_reference(p, w):
     assert conjugacy_normalize_with_certificate(p, w) == greedy_normalize(p, w)

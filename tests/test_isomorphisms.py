@@ -18,10 +18,12 @@ from bsscale import (
     flat_rank,
     index_bruteforce,
     modular,
+    moller_stabilization,
     orbit_census,
     orbit_order,
     orbit_order_bruteforce,
     scale,
+    trace,
 )
 from bsscale.cli import run
 
@@ -54,6 +56,9 @@ class TestMaps:
         assert equal_elements(p, w, u) == equal_elements(q, w2, u2)
         assert orbit_order(p, w) == orbit_order(q, w2)
         assert len(britton_reduce(p, w)) == len(britton_reduce(q, w2))
+        assert trace(p, britton_reduce(p, w)) == trace(q, britton_reduce(q, w2))
+        # the sequence and the verdict, through the conjugacy normalization
+        assert moller_stabilization(p, w, 5) == moller_stabilization(q, w2, 5)
         assert flat_rank(p) == flat_rank(q)
 
     @given(groups, words)

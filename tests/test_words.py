@@ -320,9 +320,29 @@ def letter_free_reduce(w):
     return "".join(stack)
 
 
+# a runs of 9, 17 and 1,000 letters, past the decoder's table of runs of
+# up to 8 letters (it keeps one-letter runs up to 64), of one letter and
+# mixed, each met twice
+LONG_RUNS = [
+    ("a" * 9 + "t") * 2,
+    ("A" * 17 + "T") * 2 + "a" * 1000,
+    "t" + "A" * 1000 + "T" + "A" * 1000,
+    ("aAaAaAaAa" + "T") * 2,
+    "t" + "Aa" * 8 + "A" + "t" + "aA" * 8 + "A",
+    "T" + "aaA" * 333 + "a" + "tT" + "aaA" * 333 + "a",
+]
+
+
+def with_long_runs(test):
+    for w in LONG_RUNS:
+        test = example(w)(test)
+    return test
+
+
 class TestAgainstLetterLoops:
     @given(st.one_of(words, run_words))
     @settings(max_examples=300)
+    @with_long_runs
     def test_syllables(self, w):
         assert word_syllables(w) == letter_syllables(w)
 
@@ -353,6 +373,7 @@ class TestAgainstLetterLoops:
 
     @given(st.one_of(words, run_words, mixed_runs))
     @settings(max_examples=300)
+    @with_long_runs
     def test_free_reduce(self, w):
         want = letter_free_reduce(w)
         assert free_reduce(w) == want
