@@ -7,7 +7,8 @@ exit code: it signals a bug, not bad input, so it ends in a traceback.
 
 
 class ParseError(ValueError):
-    """Malformed word text. ``offset`` is the byte position of the bad token."""
+    """Malformed word text. ``offset`` is the character position (the str
+    index) of the bad token."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")

@@ -24,11 +24,15 @@ in place (``_read_syllables``); ``word_syllables`` gives fresh lists
 that the caller owns.
 
 Token text is read and written at about one Python step per token.
-``parse_word`` checks the whole text once (ASCII, no ``_``) and then
-leaves each exponent to ``int``; every spelling of one t letter is a dict
-lookup.  ``format_syllables`` writes the a tokens in one comprehension
-and each t run inline.  The letters of a parsed ``Word`` are still
-written out, by string repetition at C speed.
+``_build`` is the one loop that turns tokens into letters and syllables:
+``parse_word`` gives it the tokens of ``str.split``, and glued text the
+same text with a space put before every letter.  Every spelling of one t
+letter is a dict lookup, and each exponent is left to ``int``.  Only a
+text that fails is walked character by character, by ``_parse_chars``,
+which builds nothing and gives the first error its offset.
+``format_syllables`` writes the a tokens in one comprehension and each t
+run inline.  The letters of a parsed ``Word`` are still written out, by
+string repetition at C speed.
 
 Free reduction starts in the decoder for the callers that begin with it
 (``free_reduce``, conjugacy normalization and so ``moller``) and for the
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import DomainError, ParseError, WordConditionError
+from .errors import DomainError, InvariantError, ParseError, WordConditionError
 from .params import GroupParams
 
 _LETTERS = "aAtT"
@@ -58,6 +62,7 @@ _T_SIGNS = {
     "t": 1, "t^1": 1, "t^+1": 1, "T^-1": 1,
     "T": -1, "T^1": -1, "T^+1": -1, "t^-1": -1,
 }
+_EXPONENT_END = re.compile("(?<=[0-9])(?=[^0-9])")  # the end of each run of digits
 _SHORT_A = ("", "a", "A")  # the a token of an exponent in {0, 1, -1}, by index
 
 
@@ -104,72 +109,102 @@ def parse_word(text: str) -> Word:
     from ``a A t T`` optionally followed by ``^`` and a signed integer.
     ``a^-3`` expands to ``AAA``; an exponent on a capital letter composes
     inverses (``A^2`` is ``a^-2``); exponent 0 contributes nothing.
-    Raises ParseError with the byte offset of the offending token, also
-    for an exponent too large to expand into letters.
+    Raises ParseError with the character offset of the offending token,
+    also for an exponent too large to expand into letters.
 
-    ASCII text without ``_`` is read token by token from ``str.split``,
-    at about one Python step per token: each spelling of one t letter
-    (``t``, ``t^1``, ``T^-1``, ...) is one dict lookup, and an ``x^k``
-    token is one slice and one ``int``.  Any other text (glued tokens such
-    as ``aTt`` among it, or non-ASCII characters), and any text that
-    fails, goes to the character loop ``_parse_chars``, the one place that
-    raises.
+    ``_build`` reads the tokens of ``str.split``.  Glued tokens (``aTtA``,
+    ``a^2t T``) split once a space is put before every letter; a text of
+    one token is spaced at once.  Both read the text with Unicode
+    whitespace as spaces, and with ``?``, which no token reads, for every
+    character that no token may hold (non-ASCII, and ``_``, which ``int``
+    reads between digits), so its tokens are those of the text, good or
+    bad.  A text that fails is split once more after each run of digits,
+    so that an exponent glued to a bad character is expanded first, as the
+    character loop read it, and then ``_parse_chars`` gives the first error
+    its offset.
     """
-    if not text.isascii() or "_" in text:
-        return _parse_chars(text)
+    plain = text if text.isascii() else " ".join(text.split()).encode("ascii", "replace").decode()
+    plain = plain.replace("_", "?")
+    tokens = plain.split()
+    try:
+        if len(tokens) > 1:
+            try:
+                return _build(tokens)
+            except ValueError:  # glued tokens
+                pass
+        spaced = plain.replace("a", " a").replace("A", " A").replace("t", " t").replace("T", " T")
+        try:
+            return _build(spaced.split())
+        except ValueError:
+            pass
+        _build(_EXPONENT_END.sub(" ", spaced).split())  # raises: the text is bad
+    except ValueError:
+        _parse_chars(text)
+    except OverflowError as exc:
+        _parse_chars(text, *exc.args)
+
+
+def _build(tokens: list[str]) -> Word:
+    """The Word of tokens, each a letter from ``a A t T`` optionally
+    followed by ``^`` and an integer, at about one Python step per token:
+    each spelling of one t letter is one dict lookup, and an ``x^k`` token
+    is one slice and one ``int``.  Raises ValueError at any other token,
+    and OverflowError(k, e) when token k's exponent e is too large to
+    expand into letters.
+
+    A token of ``parse_word`` holds no whitespace, no ``_`` and only ASCII
+    characters, and ``int`` accepts such a string exactly when it is
+    ``[+-]?[0-9]+`` (and within the int/str digit limit).
+    """
     pieces: list[str] = []
     exps: list[int] = []  # the a runs closed by a t letter
     signs: list[int] = []
     acc = 0  # exponent of the open a run
-    try:
-        for tok in text.split():
-            sign = _T_SIGNS.get(tok)
-            if sign:  # one t letter, the commonest token
-                pieces.append("t" if sign > 0 else "T")
-                exps.append(acc)
-                acc = 0
-                signs.append(sign)
-                continue
-            ch = tok[0]
-            if ch not in _LETTERS:
-                return _parse_chars(text)
-            if len(tok) == 1:
-                exp = 1
-            elif tok[1] == "^":
-                # A token of str.split on ASCII text without "_" holds no
-                # whitespace and no underscore, and int() accepts such a
-                # string exactly when it is [+-]?[0-9]+: it raises
-                # ValueError on any other exponent, and past the digit limit.
-                exp = int(tok[2:])
-            else:
-                return _parse_chars(text)
-            if ch in "AT":
-                exp = -exp
+    for tok in tokens:  # one piece per token: len(pieces) is the index of tok
+        sign = _T_SIGNS.get(tok)
+        if sign:  # one t letter, the commonest token
+            pieces.append("t" if sign > 0 else "T")
+            exps.append(acc)
+            acc = 0
+            signs.append(sign)
+            continue
+        ch = tok[0]
+        if ch not in _LETTERS:
+            raise ValueError(tok)
+        if len(tok) == 1:
+            exp = 1
+        elif tok[1] == "^":
+            exp = int(tok[2:])
+        else:
+            raise ValueError(tok)
+        if ch in "AT":
+            exp = -exp
+        try:
             if ch in "aA":
                 pieces.append("a" * exp if exp >= 0 else "A" * -exp)
                 acc += exp
-            elif exp:
-                pieces.append("t" * exp if exp > 0 else "T" * -exp)
+            elif exp:  # |exp| t letters with empty a runs between them
                 exps.append(acc)
                 acc = 0
                 signs += [1 if exp > 0 else -1] * abs(exp)
                 exps += [0] * (abs(exp) - 1)
-    except (ValueError, OverflowError, MemoryError):
-        del pieces, exps, signs
-        return _parse_chars(text)  # it raises the ParseError with its offset
+                pieces.append("t" * exp if exp > 0 else "T" * -exp)
+            else:
+                pieces.append("")
+        except (OverflowError, MemoryError):
+            raise OverflowError(len(pieces), exp) from None
     exps.append(acc)
     letters = "".join(pieces)
-    del pieces
+    del pieces  # at most one more copy of the letters while the Word is built
     return Word(letters, exps, signs)
 
 
-def _parse_chars(text: str) -> Word:
-    """``parse_word`` by a loop over the characters of text."""
-    pieces: list[str] = []
-    exps: list[int] = []  # the a runs closed by a t letter
-    signs: list[int] = []
-    acc = 0  # exponent of the open a run
-    i = 0
+def _parse_chars(text: str, too_large: int = -1, exp: int = 0):
+    """Raise the ParseError of the first bad token of text, which
+    ``_build`` could not read, from a walk over its characters that builds
+    nothing.  Token number ``too_large`` (from 0), if any, has the
+    exponent exp, which ``_build`` could not expand into letters."""
+    k = i = 0
     ln = len(text)
     while i < ln:
         ch = text[i]
@@ -180,7 +215,6 @@ def _parse_chars(text: str) -> Word:
             raise ParseError(f"unexpected character {ch!r}", i)
         tok = i
         i += 1
-        exp = 1
         if i < ln and text[i] == "^":
             i += 1
             start = i
@@ -191,31 +225,14 @@ def _parse_chars(text: str) -> Word:
             while i < ln and text[i] in _DIGITS:
                 i += 1
             try:
-                exp = int(text[start:i])
+                int(text[start:i])
             except ValueError:  # past Python's int/str digit limit
                 digits = len(text[start:i].lstrip("+-"))
                 raise ParseError(f"exponent of {digits} digits too large to expand", tok) from None
-        if ch in "AT":
-            exp = -exp
-        try:
-            if ch in "aA":
-                pieces.append("a" * exp if exp >= 0 else "A" * -exp)
-                acc += exp
-            elif exp:
-                pieces.append("t" * exp if exp > 0 else "T" * -exp)
-                exps.append(acc)
-                acc = 0
-                if exp == 1 or exp == -1:
-                    signs.append(exp)
-                else:  # |exp| t letters with empty a runs between them
-                    signs += [1 if exp > 0 else -1] * abs(exp)
-                    exps += [0] * (abs(exp) - 1)
-        except (OverflowError, MemoryError):
-            raise ParseError(f"exponent {exp} too large to expand", tok) from None
-    exps.append(acc)
-    letters = "".join(pieces)
-    del pieces  # at most one more copy of the letters while the Word is built
-    return Word(letters, exps, signs)
+        if k == too_large:
+            raise ParseError(f"exponent {exp} too large to expand", tok)
+        k += 1
+    raise InvariantError(f"{text!r} has no bad token")
 
 
 def format_word(w: str) -> str:
@@ -226,7 +243,8 @@ def format_word(w: str) -> str:
     exps, signs = _read_syllables(w)
     if _mixes_a_and_A(w, exps, signs):  # one token per maximal letter run
         return " ".join(
-            _power_token(run[0].lower(), len(run) if run[0] in "at" else -len(run))
+            run if len(run) == 1
+            else f"{run[0].lower()}^{len(run) if run[0] in 'at' else -len(run)}"
             for run in _LETTER_RUNS.findall(w)
         )
     return format_syllables(exps, signs)
@@ -259,14 +277,6 @@ def _mixes_a_and_A(w: str, exps: list[int], signs: list[int]) -> bool:
 
 
 _LETTER_RUNS = re.compile("a+|A+|t+|T+")
-
-
-def _power_token(letter: str, e: int) -> str:
-    if e == 1:
-        return letter
-    if e == -1:
-        return letter.upper()
-    return f"{letter}^{e}" if e else ""
 
 
 def free_reduce(w: str) -> Word:

@@ -6,8 +6,11 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bsscale
 from bsscale import (
@@ -91,7 +94,7 @@ EXIT_CASES = [
     ("--group 1,1 census --radius 20000", 0),
     ("--group 2,3 moller --kmax 0 t", 1),
     ('--group 2,3 rho "a^"', 2),
-    # text that int() alone would accept goes to the character loop
+    # text that int() alone would accept is still a parse error
     ('--group 2,3 reduce "a^1_0 t"', 2),
     ('--group 2,3 reduce "t a^\u0663"', 2),
     ("--group 2,4 omega-dist 1 2", 3),
@@ -747,3 +750,127 @@ class TestSelfcheck:
         code, out, _ = invoke(["--output", "json", "selfcheck"])
         assert code == 4 and json.loads(out)["failures"] == 1
 
+
+
+# ---------------------------------------------------------------------------
+# Every argv gets an answer or a documented error.  A tidy argv is well
+# formed; a wild one may break every part of it.  Valid sizes are capped
+# (radius, levels, budget, t exponents), so that no example does much work.
+
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_NOT_NUMBERS = ["", "-", "+", "x", "1.5", "0x1f", "1__0", "_1", "--1", "\u00b2", " ", "9" * 4301]
+_HUGE = ["99999999999999999999", "1" + "0" * 30]
+
+
+def _numbers(lo, hi, huge=True):
+    """(tidy, wild) strategies of number text as a user may type it.  Tidy
+    numbers lie in [lo, hi], written with ASCII or Arabic-Indic digits or
+    with an underscore, all of which int() reads.  Wild ones may also be
+    negative, huge (unless ``huge`` is False: a huge budget would let the
+    work grow), or no number at all."""
+    small = st.integers(lo, hi)
+    tidy = st.one_of(
+        small.map(str),
+        small.map(lambda v: str(v).translate(_ARABIC_INDIC)),
+        small.map(lambda v: f"{'-' if v < 0 else ''}0_{abs(v)}"),
+    )
+    wild = st.one_of(
+        tidy,
+        st.integers(-99, -1).map(str),
+        st.sampled_from(_NOT_NUMBERS + [f"-{v}" for v in _HUGE] + (_HUGE if huge else [])),
+    )
+    return tidy, wild
+
+
+_GROUP_PARTS = _numbers(-7, 7)
+_GROUPS = (
+    st.tuples(_GROUP_PARTS[0], _GROUP_PARTS[0]).map(",".join),
+    st.one_of(
+        st.tuples(_GROUP_PARTS[1], _GROUP_PARTS[1]).map(",".join),
+        st.sampled_from(["", "2", "2,3,4", ",", "a,b", "2;3", " 2 , 3 "]),
+    ),
+)
+_GOOD_TOKENS = st.tuples(st.sampled_from("aAtT"), st.one_of(st.none(), st.integers(-12, 12))).map(
+    lambda t: t[0] if t[1] is None else f"{t[0]}^{t[1]}"
+)
+_BAD_TOKENS = st.sampled_from([
+    "x", "^", "a^", "t^-", "a^_1", "a^1_0", "a^\u00b2", "t^\u0663", "\u00e4", "a^+-1",
+    "a^" + "1" + "0" * 20, "T^-" + "9" * 20, "t^" + "9" * 4301,
+])
+_SEPARATORS = st.sampled_from(["", " ", "\u3000", "\t"])
+_GOOD_WORDS, _ANY_WORDS = (
+    st.lists(st.tuples(tokens, _SEPARATORS), max_size=10).map(
+        lambda toks: "".join(tok + sep for tok, sep in toks)
+    )
+    for tokens in (_GOOD_TOKENS, st.one_of(_GOOD_TOKENS, _BAD_TOKENS))
+)
+_WORDS = (st.one_of(_GOOD_WORDS, _ANY_WORDS), _ANY_WORDS)  # a parse error is documented too
+_DOT_PATHS = (st.just("{tmp}/g.dot"), st.sampled_from(["{tmp}/g.dot", "{tmp}/missing/g.dot", ""]))
+_RADIUS = _numbers(0, 4)
+
+# command -> its options (name, tidy and wild values) and its positionals
+_FUZZ_COMMANDS = {
+    "reduce": ([], [_WORDS]),
+    "nf": ([], [_WORDS]),
+    "rho": ([], [_WORDS]),
+    "equal": ([], [_WORDS, _WORDS]),
+    "scale": ([], [_WORDS]),
+    "modular": ([], [_WORDS]),
+    "flat-rank": ([], []),
+    "kernel": ([], []),
+    "moller": ([("--kmax", _numbers(1, 30))], [_WORDS]),
+    "trace": ([("--start", _numbers(-50, 50)), ("--h", _numbers(-50, 50))], [_WORDS]),
+    "omega-edges": ([("--levels", _numbers(0, 12)), ("--dot", _DOT_PATHS)], []),
+    "omega-dist": ([], [_numbers(-50, 50), _numbers(-50, 50)]),
+    "orbit": ([], [_WORDS]),
+    "orbit-brute": ([("--dmax", _numbers(0, 500))], [_WORDS]),
+    "ball": ([("--radius", _RADIUS), ("--dot", _DOT_PATHS)], []),
+    "census": ([("--radius", _RADIUS)], []),
+    "structure": ([], [_WORDS]),
+    "matrix": ([], [_WORDS]),
+    "scale-set": ([("--rho-max", _numbers(0, 40))], []),
+    "selfcheck": ([("--seed", _numbers(-9, 9))], []),
+}
+_REQUIRED = {"ball": "--radius", "census": "--radius", "scale-set": "--rho-max"}
+
+
+@st.composite
+def _argvs(draw):
+    """A command line: optional global options, a command, each of its
+    options present or not, and its positionals.  A wild one may also
+    name an unknown command, leave out or double a positional, or end in
+    a stray argument."""
+    wild = draw(st.booleans())
+    argv = []
+    if draw(st.integers(0, 9)) or wild:
+        argv += ["--group", draw(_GROUPS[wild])]
+    if draw(st.booleans()):
+        argv += ["--output", draw(st.sampled_from(["text", "json", "xml"][: 2 + wild]))]
+    if draw(st.booleans()):
+        argv += ["--budget", draw(_numbers(0, 5000, huge=False)[wild])]
+    name = draw(st.sampled_from([*_FUZZ_COMMANDS, *["frobnicate"][:wild]]))
+    argv.append(name)
+    options, positionals = _FUZZ_COMMANDS.get(name, ([], [_WORDS]))
+    for option, values in options:
+        if draw(st.integers(0, 3)) or _REQUIRED.get(name) == option and not wild:
+            argv += [option, draw(values[wild])]
+    count = draw(st.integers(0, len(positionals) + 1)) if wild else len(positionals)
+    argv += [draw(values[wild]) for values in (positionals * 2)[:count]]
+    if wild:
+        argv += draw(st.sampled_from([[], [], ["--help"], ["--frob"], ["extra"], ["--budget"]]))
+    return argv
+
+
+class TestArgvFuzz:
+    @given(_argvs())
+    @settings(max_examples=1600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_argv_gets_an_exit_code(self, argv):
+        """Each argv returns a code in 0-4 without an exception; an error
+        (1-3) leaves stdout empty and names its class on the last stderr
+        line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out, err = invoke([arg.replace("{tmp}", tmp) for arg in argv])
+        assert code in range(5)
+        if code in ERROR_CLASS:
+            assert out == ""
+            assert err.splitlines()[-1].startswith(ERROR_CLASS[code])

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +42,8 @@ from bsscale import (
 from bsscale import words as words_module
 from bsscale.cosets import default_scan_bound
 from bsscale.words import (
+    _DIGITS,
+    _LETTERS,
     check_traceable,
     format_syllables,
     free_reduce_syllables,
@@ -96,6 +99,8 @@ class TestParse:
             ("a^\u00b2", 2), ("a^\u0661", 2), ("a^\uff13", 2), ("a^1\u00b2", 3),
             # past Python's 4,300-digit int/str limit
             ("a t^" + "1" * 5000, 2), ("A^-" + "9" * 4301, 0),
+            # offsets count characters: U+3000 is one character, three bytes
+            ("a\u3000b", 2), ("a\u3000t^x", 4),
         ],
     )
     def test_errors_carry_offset(self, text, offset):
@@ -524,8 +529,66 @@ class TestSyllableConsumers:
 
 
 # ---------------------------------------------------------------------------
-# parse_word reads token text through str.split and sends every other text
-# to the character loop: both must give the same word or the same error.
+# parse_word builds every word in one token loop, and walks the characters
+# of a text only to report its error.  The character loop that once built
+# words too is kept here as the reference: both must give the same word or
+# the same error.
+
+
+def character_loop(text):
+    """``parse_word`` by a loop over the characters of text."""
+    pieces: list[str] = []
+    exps: list[int] = []  # the a runs closed by a t letter
+    signs: list[int] = []
+    acc = 0  # exponent of the open a run
+    i = 0
+    ln = len(text)
+    while i < ln:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch not in _LETTERS:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        tok = i
+        i += 1
+        exp = 1
+        if i < ln and text[i] == "^":
+            i += 1
+            start = i
+            if i < ln and text[i] in "+-":
+                i += 1
+            if i >= ln or text[i] not in _DIGITS:
+                raise ParseError("expected integer after '^'", start)
+            while i < ln and text[i] in _DIGITS:
+                i += 1
+            try:
+                exp = int(text[start:i])
+            except ValueError:  # past Python's int/str digit limit
+                digits = len(text[start:i].lstrip("+-"))
+                raise ParseError(f"exponent of {digits} digits too large to expand", tok) from None
+        if ch in "AT":
+            exp = -exp
+        try:
+            if ch in "aA":
+                pieces.append("a" * exp if exp >= 0 else "A" * -exp)
+                acc += exp
+            elif exp:
+                pieces.append("t" * exp if exp > 0 else "T" * -exp)
+                exps.append(acc)
+                acc = 0
+                if exp == 1 or exp == -1:
+                    signs.append(exp)
+                else:  # |exp| t letters with empty a runs between them
+                    signs += [1 if exp > 0 else -1] * abs(exp)
+                    exps += [0] * (abs(exp) - 1)
+        except (OverflowError, MemoryError):
+            raise ParseError(f"exponent {exp} too large to expand", tok) from None
+    exps.append(acc)
+    letters = "".join(pieces)
+    del pieces  # at most one more copy of the letters while the Word is built
+    return Word(letters, exps, signs)
+
 
 # every character str.split and str.isspace take as whitespace, sampled
 _SPACES = " \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u1680\u2003\u2028\u2029\u202f\u3000"
@@ -551,6 +614,14 @@ _TEXTS = st.tuples(
 _TOKEN_TEXTS = st.lists(
     st.tuples(st.sampled_from("aAtT"), st.one_of(st.none(), st.integers(-40, 40))), max_size=12
 ).map(lambda toks: " ".join(ch if e is None else f"{ch}^{e}" for ch, e in toks))
+# good tokens, glued or between runs of any whitespace
+_GOOD_EXPONENTS = st.one_of(
+    st.none(), st.integers(-40, 40).map(str), st.integers(0, 40).map(lambda e: f"+{e}")
+)
+_GOOD_TEXTS = st.tuples(
+    _SEPARATORS,
+    st.lists(st.tuples(st.sampled_from("aAtT"), _GOOD_EXPONENTS, _SEPARATORS), max_size=12),
+).map(lambda t: t[0] + "".join(ch + ("" if e is None else f"^{e}") + sep for ch, e, sep in t[1]))
 
 
 def _parse_outcome(parse, text):
@@ -575,23 +646,50 @@ class TestParsePaths:
     @example("a^007 t^+1")
     @example("a^2\u3000t^-1")  # non-ASCII whitespace
     @example("t a^\u0663")  # a non-ASCII digit that int() reads
+    # an exponent too large to expand, glued to a bad character
+    @example("a^" + "1" * 30 + "x")
+    @example("T a^-" + "1" * 30 + "^2")
+    @example("t^" + "1" * 30 + "_")
+    @example("a t^+" + "1" * 30 + "\u00e4 b")
+    @example("t^0 T^-0 a^" + "1" * 30)  # after t tokens of no letters
     def test_same_as_the_character_loop(self, text):
-        want = _parse_outcome(words_module._parse_chars, text)
+        want = _parse_outcome(character_loop, text)
         assert _parse_outcome(parse_word, text) == want
 
     @given(_TOKEN_TEXTS)
     @settings(max_examples=200)
     @example("t T t^1 t^-1 t^+1 T^1 T^-1 T^+1 a^007 A^+0")
     def test_token_text_skips_the_character_loop(self, text):
-        want = _parse_outcome(words_module._parse_chars, text)
+        assert _parse_outcome_without_the_walk(text) == _parse_outcome(character_loop, text)
 
-        def refuse(text):
-            raise AssertionError("token text went to the character loop")
+    @given(_GOOD_TEXTS)
+    @settings(max_examples=200)
+    @example("aTtA")
+    @example("a^2t T")
+    @example("\u3000a^2\xa0t^-1\u2028")
+    def test_glued_and_unicode_spaced_text_skips_the_character_loop(self, text):
+        assert _parse_outcome_without_the_walk(text) == _parse_outcome(character_loop, text)
 
-        original = words_module._parse_chars
-        words_module._parse_chars = refuse
+    def test_the_error_walk_builds_nothing(self):
+        tracemalloc.start()
         try:
-            got = _parse_outcome(parse_word, text)
+            with pytest.raises(ParseError) as exc:
+                words_module._parse_chars("a^100000000 t^100000 x")
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            words_module._parse_chars = original
-        assert got == want
+            tracemalloc.stop()
+        assert exc.value.offset == 21 and peak < 100_000
+
+
+def _parse_outcome_without_the_walk(text):
+    """_parse_outcome of parse_word, failing if text reaches the error walk."""
+
+    def refuse(*args):
+        raise AssertionError("text reached the error walk")
+
+    original = words_module._parse_chars
+    words_module._parse_chars = refuse
+    try:
+        return _parse_outcome(parse_word, text)
+    finally:
+        words_module._parse_chars = original
