@@ -73,12 +73,15 @@ def _check_ball_budget(p: GroupParams, radius: int, budget: int) -> None:
     vertices.  The count stops once it passes the budget, so that a huge
     radius stops early."""
     deg = abs(p.m) + abs(p.n)
-    total, shell = 1, deg
-    for _ in range(radius):
-        if total > budget:
-            break
-        total += shell
-        shell *= deg - 1
+    if deg == 2:  # a line: every shell has 2 vertices, so count them at once
+        total = 1 + 2 * radius
+    else:
+        total, shell = 1, deg
+        for _ in range(radius):
+            if total > budget:
+                break
+            total += shell
+            shell *= deg - 1
     if total > budget:
         raise BudgetError(f"radius {radius} ball has more vertices than the budget {budget}")
 

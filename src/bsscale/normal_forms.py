@@ -9,9 +9,11 @@ to the right through the defining relation, accumulating in the tail.
 Dropping the tail indexes the left cosets of <a>, i.e. the vertices of the
 Bass-Serre tree.
 
-For |m| = 1 the group embeds in 2x2 upper triangular rational matrices,
-giving an independent equality oracle, and every element has a unique
-t^(-p) a^q t^r form.
+For |m| = 1 one left-to-right walk writes every element as
+t^(-p) a^q t^r; with its inner pinches stripped that is the element's
+unique form, and the group's faithful image in 2x2 upper triangular
+rational matrices is the image of the walk's form.  Both give an equality
+check independent of the reduction above.
 """
 
 from __future__ import annotations
@@ -87,24 +89,21 @@ def coset_word(cid: CosetId) -> Word:
 # |m| = 1: the soluble case, with a faithful matrix representation.
 
 
-def _require_unit_m(p: GroupParams) -> None:
+def _bs1n_walk(p: GroupParams, w: str) -> tuple[int, int, int]:
+    """The state (neg, q, pos) with w = t^(-neg) a^q t^(pos), before any
+    inner pinch is stripped.  Requires |m| = 1.
+
+    Syllables are absorbed left to right using t a^x = a^(x m n) t and
+    a^x T = T a^(x m n): a T letter first cancels a pending t, and only
+    past them grows neg, scaling q by mn.  Both oracles read an image or
+    the unique form of the element, which no free pair changes, so a plain
+    string is read with its free t pairs cut out (``_read_free_syllables``),
+    and an empty a run costs no power: for ``T^N a t^N`` the loop takes
+    one power, not N.  No reduction of the word is used, so both stay
+    independent checks of it.
+    """
     if abs(p.m) != 1:
         raise DomainError(f"operation requires |m| = 1, got m = {p.m}")
-
-
-def bs1n_normal_form(p: GroupParams, w: str) -> tuple[int, int, int]:
-    """Write w as t^(-neg) a^q t^(pos) with neg, pos >= 0 and n dividing q
-    only if neg = 0 or pos = 0.  Requires |m| = 1.
-
-    Syllables are absorbed left to right into the state (neg, q, pos) using
-    t a^x = a^(x m n) t and a^x T = T a^(x m n), then inner pinches
-    T a^(cn) t = a^(cm) are stripped.  The triple is the element's unique
-    form, so a plain string is read with its free t pairs cut out
-    (``_read_free_syllables``), and an empty a run costs no power: for
-    ``T^N a t^N`` the loop takes one power, not N.  No reduction of the
-    word is used, so the form stays an independent check of it.
-    """
-    _require_unit_m(p)
     mn = p.m * p.n
     exps, signs = _read_free_syllables(w)
     neg, q, pos = 0, exps[0], 0
@@ -118,6 +117,17 @@ def bs1n_normal_form(p: GroupParams, w: str) -> tuple[int, int, int]:
             q *= mn
         if e:
             q += e * mn**pos
+    return neg, q, pos
+
+
+def bs1n_normal_form(p: GroupParams, w: str) -> tuple[int, int, int]:
+    """Write w as t^(-neg) a^q t^(pos) with neg, pos >= 0 and n dividing q
+    only if neg = 0 or pos = 0.  Requires |m| = 1.
+
+    The walk's state, with its inner pinches T a^(cn) t = a^(cm) stripped,
+    is the element's unique form.
+    """
+    neg, q, pos = _bs1n_walk(p, w)
     while neg > 0 and pos > 0 and q % p.n == 0:
         q = (q // p.n) * p.m
         neg -= 1
@@ -157,24 +167,9 @@ def bs1n_matrix(p: GroupParams, w: str) -> BS1nMatrix:
     homomorphism for |m| = 1.  (For m = 1 the t image is [[n,0],[0,1]]; the
     extra sign makes the relation hold for m = -1 as well.)
 
-    A free pair ``tT`` or ``Tt`` maps to the identity, so a plain string is
-    read with those pairs cut out (``_read_free_syllables``), and an empty
-    a run adds no power: ``T^N a t^N`` costs one power, not N.  No
-    reduction of the word is used, so the matrix stays an independent
-    check of it."""
+    It is the image of the walk's t^(-neg) a^q t^(pos)."""
     from fractions import Fraction
 
-    _require_unit_m(p)
+    neg, q, pos = _bs1n_walk(p, w)
     mn = p.m * p.n
-    exps, signs = _read_free_syllables(w)
-    # top_right = num / mn^den, each run a^e after prefix t-exponent k
-    # adding e mn^k; den grows when k first drops below -den
-    num, den, k = exps[0], 0, 0
-    for s, e in zip(signs, exps[1:]):
-        k += s
-        if k + den < 0:
-            num *= mn
-            den += 1
-        if e:
-            num += e * mn ** (k + den)
-    return BS1nMatrix(Fraction(mn) ** k, Fraction(num, mn**den))
+    return BS1nMatrix(Fraction(mn) ** (pos - neg), Fraction(q, mn**neg))

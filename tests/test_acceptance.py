@@ -7,14 +7,17 @@ fixed-seed.
 """
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from bsscale import (
     GroupParams,
+    act,
     bs1n_matrix,
     bs1n_normal_form,
     conjugacy_normalize,
     edges_from,
+    element_normal_form,
     enumerate_ball,
     flat_rank,
     index_bruteforce,
@@ -220,11 +223,11 @@ def test_c10_matrix_representation():
             u = random_word(rng, max_len=10)
             if bs1n_matrix(p, w + u) != bs1n_matrix(p, w) * bs1n_matrix(p, u):
                 ok = False
-        # 500 pairwise distinct elements, deduplicated by the matrix image
+        # 500 pairwise distinct elements, deduplicated by the Britton normal form
         elements: dict = {}
         while len(elements) < 500:
             w = random_word(rng, max_len=12)
-            elements.setdefault(bs1n_matrix(p, w), w)
+            elements.setdefault(element_normal_form(p, w), w)
         triples = [bs1n_normal_form(p, w) for w in elements.values()]
         if len(set(triples)) != 500:
             ok = False
@@ -267,6 +270,84 @@ def test_c12_local_structure():
         if rep.swap_applied != (t_exponent(w) < 0):
             ok = False
     _report(12, "tidy prime content and swap flag on negative exponent", ok)
+
+
+def _primes(k: int) -> set[int]:
+    """The prime divisors of k >= 1, by trial division."""
+    out, d = set(), 2
+    while d * d <= k:
+        while k % d == 0:
+            out.add(d)
+            k //= d
+        d += 1
+    if k > 1:
+        out.add(k)
+    return out
+
+
+def _closure_orders(p, vertex_limit):
+    """The order N_r of a acting on each ball of radius r within
+    ``vertex_limit`` vertices, and each vertex's cycle length, from one
+    ball and ``act`` alone.  a fixes the base vertex, so each cycle keeps
+    its distance to it, and the permutation of a smaller ball is the
+    restriction to the vertices within its radius."""
+    deg = abs(p.m) + abs(p.n)
+    radius, size, shell = 0, 1, deg
+    while size + shell <= vertex_limit:
+        radius, size, shell = radius + 1, size + shell, shell * (deg - 1)
+    table = enumerate_ball(p, radius)
+    depth = [0] * len(table.vertices)
+    for parent, child, _ in table.edges:
+        depth[child] = depth[parent] + 1
+    cycle = [0] * len(table.vertices)
+    for v in range(len(table.vertices)):
+        if cycle[v]:
+            continue
+        orbit = [v]
+        while (u := act(p, table, "a", orbit[-1])) != v:
+            assert u is not None and depth[u] == depth[v]
+            orbit.append(u)
+        for u in orbit:
+            cycle[u] = len(orbit)
+    orders = [1] * (radius + 1)
+    for v, d in enumerate(depth):
+        orders[d] = lcm(orders[d], cycle[v])
+    for r in range(1, radius + 1):
+        orders[r] = lcm(orders[r], orders[r - 1])
+    return table, cycle, orders
+
+
+def test_c13_closure_of_a_against_structure_report():
+    # a permutes each ball around the base vertex; the order N_r of that
+    # permutation is the order of the closure of <a> in Sym(ball_r)
+    groups = [(2, 3), (3, 2), (4, 6), (-3, 2), (2, -5), (1, 3), (1, -2), (-1, 2)]
+    groups += [(2, 4), (3, -6), (6, 10), (2, 2), (3, -3), (1, 1), (-1, 1)]
+    ok = True
+    for m, n in groups:
+        p = GroupParams(m, n)
+        report = structure_report(p)
+        l = lcm(m, n)
+        growth = (l // abs(m)) * (l // abs(n))
+        table, cycle, orders = _closure_orders(p, 3000)
+        ok = ok and orders[0] == 1
+        if abs(m) != abs(n):
+            bound = report.quotient_order_bound
+            ok = ok and orders[1:] == [bound * growth**r for r in range(1, len(orders))]
+            ok = ok and _primes(growth) == set(report.primes_vplus + report.primes_vminus)
+            ok = ok and report.flat_rank == 1 and report.kernel_exponent == 0
+        else:
+            ok = ok and orders[1:] == [abs(m)] * (len(orders) - 1)
+            ok = ok and report.kernel_exponent == abs(m) and report.flat_rank == 0
+        for v, length in enumerate(cycle):
+            ok = ok and length == orbit_order(p, table.vertex_word(v))
+        if abs(m) != abs(n):
+            # the index ratio of w^2 over w carries the primes of V+ for w,
+            # which the report swaps on a negative t-exponent
+            for w in ("t", "T", "taTat", "TaaT"):
+                ratio = Fraction(index_bruteforce(p, w, 2), index_bruteforce(p, w, 1))
+                ok = ok and ratio.denominator == 1
+                ok = ok and _primes(ratio.numerator) == set(structure_report(p, w).primes_vplus)
+    _report(13, "closure of <a> on balls matches the structure report and orbit orders", ok)
 
 
 def _freely_reduced_words(length):

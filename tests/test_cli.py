@@ -113,6 +113,10 @@ EXIT_CASES = [
     # discrete groups: both scale bases are 1, so the set is {1} at once
     ("--group 2,2 scale-set --rho-max 99999999999999999999", 0, "1\n"),
     ("--group 3,-3 scale-set --rho-max 99999999999999999999", 0, "1\n"),
+    # a line group's ball has 1 + 2R vertices, counted without a loop over R
+    ("--group 1,1 --budget 99999999999999999999 census --radius 99999999999999999999", 3),
+    ("--group 1,1 --budget 99999999999999999999 ball --radius 99999999999999999999", 3),
+    ("--group=-1,1 --budget 99999999999999999999 census --radius 99999999999999999999", 3),
 ]
 
 
