@@ -23,6 +23,8 @@ import bsscale
 from .errors import BudgetError, DomainError, ParseError
 from .params import DEFAULT_BUDGET, GroupParams
 from .words import (
+    _reduced_syllables,
+    check_traceable,
     equal_elements,
     format_syllables,
     parse_word,
@@ -169,6 +171,13 @@ def _check_digits(base: int, exponent: int) -> None:
         str(base ** min(exponent, 4 * limit // (base.bit_length() - 1) + 1))
 
 
+def _check_node_digits(p: GroupParams, a: int, b: int) -> None:
+    """``_check_digits`` on both factors of the node g (l/|n|)^a (l/|m|)^b,
+    each on its own, so a node that fits the limit is never refused."""
+    _check_digits(p.l_over_n, a)
+    _check_digits(p.l_over_m, b)
+
+
 def run(argv: list[str], out=None, err=None) -> int:
     """Dispatch a full command line; returns the process exit code."""
     out = out if out is not None else sys.stdout
@@ -311,7 +320,13 @@ def _moller(p, args):
     notice=True,
 )
 def _trace(p, args):
-    val = bsscale.trace(p, parse_word(args.word), start=args.start, h=args.h)
+    from .graph import _walk
+
+    word = parse_word(args.word)
+    if args.start == 1 and args.h == 1:  # size the answer from the walk of w, once w passes
+        rho, low, high = _walk(check_traceable(p, word))
+        _check_node_digits(p, rho - low, high - rho)
+    val = bsscale.trace(p, word, start=args.start, h=args.h)
     return str(val), {"trace": str(val)}
 
 
@@ -344,7 +359,12 @@ def _omega_dist(p, args):
 
 @_command("orbit", _arg("word"), notice=True)
 def _orbit(p, args):
-    val = bsscale.orbit_order(p, parse_word(args.word))
+    from .graph import _walk
+
+    word = parse_word(args.word)
+    _, low, high = _walk(_reduced_syllables(p, word)[1])  # the walk of the reduced word
+    _check_node_digits(p, -low, high)
+    val = bsscale.orbit_order(p, word)
     return str(val), {"orbit_order": str(val)}
 
 

@@ -22,6 +22,7 @@ its coordinates (a, b); classify_node strips them out of outside values.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .errors import DomainError, InvariantError, NoPathError, NotANodeError
 from .params import GroupParams, Record
@@ -92,6 +93,16 @@ def trace(p: GroupParams, w: str, start: int = 1, h: int = 1) -> int:
     if start < 1:
         raise NotANodeError(f"node value must be positive, got {start}")
     return _fold(p, labels, start, h) if labels else math.lcm(start, h)
+
+
+def _walk(signs) -> tuple[int, int, int]:
+    """(rho, min S, max S) for the walk S of prefix sums of the t signs,
+    from 0 to rho.  For a freely reduced pinch-free w with at least one t
+    letter, trace(p, w) = g (l/|n|)^(rho - min S) (l/|m|)^(max S - rho), and
+    the orbit order of u<a> is g (l/|n|)^(-min S) (l/|m|)^(max S) with S
+    the walk of the reduced u (1 when it has no t letter)."""
+    sums = list(accumulate(signs, initial=0))
+    return sums[-1], min(sums), max(sums)
 
 
 def _strip(v: int, base: int) -> tuple[int, int]:
@@ -191,12 +202,8 @@ def trace_geometry(p: GroupParams, w: str, R: int) -> TraceGeometry:
         raise DomainError(
             f"R = {R} must exceed the t^-1 letter count {t_neg} of the word"
         )
-    t_max = 0
-    acc = 0
-    for e in labels:
-        acc += e
-        t_max = max(t_max, acc)
-    mu = acc - t_max
+    rho, _, t_max = _walk(labels)
+    mu = rho - t_max
     end = classify_node(p, _fold(p, [1] * R + labels, 1, 1))
     if end.level != R + t_max or end.dist_left != -mu:
         raise InvariantError(

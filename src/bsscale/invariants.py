@@ -16,9 +16,8 @@ from .graph import _strip, step
 from .params import GroupParams, Record
 from .words import (
     _read_free_syllables,
-    _read_syllables,
+    _reduced_syllables,
     conjugacy_normalize_syllables,
-    reduce_syllables,
     t_exponent,
 )
 
@@ -146,7 +145,7 @@ def orbit_order(p: GroupParams, w: str) -> int:
     is the trace of the reversed, sign-flipped t letters of the reduced
     word, starting from 1.
     """
-    _, signs = reduce_syllables(p, *_read_syllables(w))
+    _, signs = _reduced_syllables(p, w)
     x = 1
     for s in reversed(signs):
         x = step(p, x, -s)

@@ -23,8 +23,7 @@ from .params import GroupParams, Record
 from .words import (
     Word,
     _read_free_syllables,
-    _read_syllables,
-    reduce_syllables,
+    _reduced_syllables,
     syllables_to_word,
 )
 
@@ -53,7 +52,7 @@ class ElementNormalForm(Record):
 def element_normal_form(p: GroupParams, w: str) -> ElementNormalForm:
     """Unique canonical form of w; two words get the same form exactly when
     they are equal in BS(m, n)."""
-    exps, signs = reduce_syllables(p, *_read_syllables(w))
+    exps, signs = _reduced_syllables(p, w)
     # a^(qn + r) t = a^r t a^(qm) and a^(qm + r) T = a^r T a^(qn); pushing
     # the carry right cannot create a backtrack because the reduced word has
     # no pinches and carries are multiples of the divisibility modulus.

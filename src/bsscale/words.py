@@ -42,6 +42,14 @@ split (``_read_free_syllables``), and the syllable loop finishes the job.
 Britton reduction is not confluent, and cutting the pairs first changes
 its result on some words, so it decodes every letter.
 
+``britton_reduce`` records its answer's syllables, keyed by (m, n), on
+the word it reduces and on the answer (see ``Word``), so the normal form,
+orbit order, trace check and equality test that follow it in one group do
+not repeat its pass.  Only the closed forms read the record: the
+brute-force scans in ``cosets``, the BS(1, n) oracles and conjugacy
+normalization reduce the syllables themselves, so a wrong record cannot
+sit on both sides of a check.
+
 Conjugacy normalization applies its moves in one left-to-right pass that
 keeps their greedy order, since z depends on that order; each syllable is
 read once, so its cost is linear in the syllables.
@@ -73,17 +81,31 @@ class Word(str):
     Equality, hashing, slicing, JSON and ``str`` methods see only the
     letters, and results of str methods are plain strings.  Only this
     module builds one, from syllables that match the letters.
+
+    A Word may also hold the record ``(m, n, exps, signs)`` of its Britton
+    reduction in BS(m, n): exactly what ``reduce_syllables`` returns for it
+    in that group, as tuples.  Only ``britton_reduce`` writes it, on its
+    argument and on its answer, whose record holds the answer's own tuples.
+    In that group, and no other, ``element_normal_form``, ``orbit_order``
+    and ``as_power_of_a`` read the recorded syllables instead of reducing
+    again, ``equal_elements`` starts from them for its first word, and
+    ``check_traceable`` passes a word whose record is its own syllables.
+    The record is a pure function of the word and (m, n), and each
+    ``britton_reduce`` call writes it once, whole, in one slot store, so a
+    concurrent reader sees no record or a whole one.  A copy or pickle
+    drops it.
     """
 
-    __slots__ = ("_exps", "_signs")
+    __slots__ = ("_exps", "_signs", "_reduced")
 
     def __new__(cls, letters: str, exps, signs):
         self = super().__new__(cls, letters)
         self._exps = tuple(exps)
         self._signs = tuple(signs)
+        self._reduced = None
         return self
 
-    def __reduce__(self):  # copy and pickle rebuild the syllables too
+    def __reduce__(self):  # copy and pickle rebuild the syllables, not the record
         return Word, (str(self), self._exps, self._signs)
 
 
@@ -464,9 +486,15 @@ def check_traceable(p: GroupParams, w: str) -> list[int]:
     its t letters.
 
     Both tests read syllables only: w is freely reduced iff no a run mixes
-    a and A letters and no t^s a^0 t^-s occurs.
+    a and A letters and no t^s a^0 t^-s occurs.  A ``britton_reduce``
+    answer, whose record in p's group is its own syllables, passes at once.
     """
-    exps, signs = _read_syllables(w)
+    if isinstance(w, Word):
+        exps, signs, rec = w._exps, w._signs, w._reduced
+        if rec is not None and rec[2] is exps and rec[0] == p.m and rec[1] == p.n:
+            return list(signs)
+    else:
+        exps, signs = _decode_letters(w)
     if _mixes_a_and_A(w, exps, signs) or not all(
         e or s == u for s, e, u in zip(signs, exps[1:], signs[1:])
     ):
@@ -483,9 +511,28 @@ def check_traceable(p: GroupParams, w: str) -> list[int]:
 def britton_reduce(p: GroupParams, w: str) -> Word:
     """Alternately free-reduce and remove pinches (leftmost first) until the
     word is freely reduced and pinch-free.  The result equals w in BS(m, n).
+
+    Records the reduction on the result and, when it is a ``Word``, on w
+    (see ``Word``); the letters are written out before either record.
     """
     exps, signs = reduce_syllables(p, *_read_syllables(w))
-    return syllables_to_word(exps, signs)
+    r = syllables_to_word(exps, signs)
+    r._reduced = rec = (p.m, p.n, r._exps, r._signs)
+    if isinstance(w, Word):
+        w._reduced = rec
+    return r
+
+
+def _reduced_syllables(p: GroupParams, w: str):
+    """``reduce_syllables`` of w's syllables, for a caller that only reads
+    them: the record ``britton_reduce`` left on a ``Word`` in p's group, or
+    else a fresh reduction, which is not recorded."""
+    if isinstance(w, Word):
+        rec = w._reduced
+        if rec is not None and rec[0] == p.m and rec[1] == p.n:
+            return rec[2], rec[3]
+        return reduce_syllables(p, w._exps, w._signs)
+    return reduce_syllables(p, *_decode_letters(w))
 
 
 def as_power_of_a(p: GroupParams, w: str) -> int | None:
@@ -494,13 +541,21 @@ def as_power_of_a(p: GroupParams, w: str) -> int | None:
     A reduced word with surviving t letters cannot lie in <a>, so the
     syllable reduction decides membership outright.
     """
-    exps, signs = reduce_syllables(p, *_read_syllables(w))
+    exps, signs = _reduced_syllables(p, w)
     return exps[0] if not signs else None
 
 
 def equal_elements(p: GroupParams, w: str, u: str) -> bool:
-    """Decide w = u in BS(m, n) by reducing w u^-1, joined in syllable form."""
-    we, ws = _read_syllables(w)
+    """Decide w = u in BS(m, n) by reducing w u^-1, joined in syllable form;
+    w's part is its recorded reduction in p's group, when it has one."""
+    if isinstance(w, Word):
+        rec = w._reduced
+        if rec is not None and rec[0] == p.m and rec[1] == p.n:
+            we, ws = rec[2], rec[3]
+        else:
+            we, ws = w._exps, w._signs
+    else:
+        we, ws = _decode_letters(w)
     ue, us = _read_syllables(u)
     exps = list(we)
     exps[-1] -= ue[-1]  # the junction run

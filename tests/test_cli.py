@@ -117,6 +117,12 @@ EXIT_CASES = [
     ("--group 1,1 --budget 99999999999999999999 census --radius 99999999999999999999", 3),
     ("--group 1,1 --budget 99999999999999999999 ball --radius 99999999999999999999", 3),
     ("--group=-1,1 --budget 99999999999999999999 census --radius 99999999999999999999", 3),
+    # trace and orbit size their answer from the walk before the first step
+    ("--group 2,3 orbit t^400000", 3),
+    ("--group 2,3 trace t^400000", 3),
+    # and refuse no answer that fits: 2^14284 and 3^9012 have 4,300 digits
+    ("--group 2,3 trace t^14284", 0),
+    ("--group 2,3 orbit t^9012", 0),
 ]
 
 

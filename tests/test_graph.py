@@ -4,7 +4,7 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsscale import (
@@ -13,8 +13,10 @@ from bsscale import (
     NoPathError,
     NotANodeError,
     WordConditionError,
+    britton_reduce,
     classify_node,
     edges_from,
+    orbit_order,
     parse_word,
     shortest_path_len,
     step,
@@ -29,6 +31,7 @@ from bsscale.graph import (
     RIGHT_RAY,
     ROOT,
     UNSTRUCTURED,
+    _walk,
     level_nodes,
     nodes_through,
     to_dot,
@@ -323,6 +326,33 @@ class TestTraceGeometry:
         r = sum(1 for ch in w if ch == "T") + 1
         g = trace_geometry(P23, w, r)
         assert g.mu <= 0
+
+
+class TestWalkSizes:
+    """The walk of the t signs sizes trace and orbit answers before any
+    step: the node g (l/|n|)^a (l/|m|)^b it predicts must be the fold's."""
+
+    @given(
+        st.integers(-6, 6).filter(bool),
+        st.integers(1, 6),
+        st.text(alphabet="aAtT", max_size=12),
+    )
+    @settings(max_examples=400, deadline=None)
+    @example(2, 4, "taaTAt")  # divisor case
+    @example(-3, 3, "TaTTat")  # discrete
+    @example(2, 3, "aaA")  # no t letter: the base vertex
+    def test_prediction_matches_the_fold(self, m, n, w):
+        p = GroupParams(m, n)
+        r = britton_reduce(p, w)
+        signs = word_syllables(r)[1]
+        rho, low, high = _walk(signs)
+
+        def node(a, b):
+            return p.g * p.l_over_n**a * p.l_over_m**b if signs else 1
+
+        assert trace(p, r) == node(rho - low, high - rho)
+        for u in (w, r):
+            assert orbit_order(p, u) == node(-low, high)
 
 
 class TestRayPaths:

@@ -495,6 +495,35 @@ class TestSyllableConsumers:
         assert equal_elements(p, w, r)
         assert scale(p, w).exponent == 2
 
+    @pytest.mark.parametrize("p", [P23, GroupParams(3, -5), P24, GroupParams(1, 3)])
+    def test_chain_reduces_once(self, p, monkeypatch):
+        """Only britton_reduce reduces, and its record is read by the value
+        (m, n): the readers below get a GroupParams equal to p, not p."""
+        calls = []
+        reduce = words_module.reduce_syllables
+
+        def counted(*args):
+            calls.append(args[0])
+            return reduce(*args)
+
+        monkeypatch.setattr(words_module, "reduce_syllables", counted)
+        same = GroupParams(p.m, p.n)
+        w = parse_word("a^37 t A^5 t^2 a^-41 T a^6 T a^1000 t A T a^2 t")
+        counts = []
+        for call in (
+            lambda: britton_reduce(p, w),
+            lambda: element_normal_form(same, w),
+            lambda: orbit_order(same, r),
+            lambda: trace(same, r),
+            lambda: equal_elements(same, w, r),
+        ):
+            before = len(calls)
+            out = call()
+            counts.append(len(calls) - before)
+            if before == 0:
+                r = out
+        assert counts == [1, 0, 0, 0, 1]
+
     @pytest.mark.parametrize("p", [P23, GroupParams(2, -2)])
     def test_moller_decodes_a_plain_string_once(self, p, monkeypatch):
         calls = []
@@ -693,3 +722,103 @@ def _parse_outcome_without_the_walk(text):
         return _parse_outcome(parse_word, text)
     finally:
         words_module._parse_chars = original
+
+
+# ---------------------------------------------------------------------------
+# britton_reduce records its reduction on its argument and its answer; the
+# closed forms read it in that group only, and the oracles never do.
+
+nonzero = st.integers(-6, 6).filter(bool)
+# two groups with different (m, n)
+group_pairs = st.tuples(nonzero, nonzero, nonzero, nonzero).filter(
+    lambda mn: mn[:2] != mn[2:]
+).map(lambda mn: (GroupParams(*mn[:2]), GroupParams(*mn[2:])))
+
+
+def record_readers(p, v, u):
+    """What each reader gives on v in p (with u as the other word), an
+    error as its class and text."""
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except WordConditionError as exc:
+            return ("WordConditionError", str(exc))
+
+    return [
+        element_normal_form(p, v),
+        orbit_order(p, v),
+        as_power_of_a(p, v),
+        attempt(check_traceable, p, v),
+        attempt(trace, p, v),
+        equal_elements(p, v, u),
+        equal_elements(p, u, v),
+    ]
+
+
+class TestBrittonRecord:
+    @given(group_pairs, st.one_of(words, token_text))
+    @settings(max_examples=200)
+    def test_readers_match_a_fresh_copy(self, pq, text):
+        p, q = pq
+        w = parse_word(text)
+        r = britton_reduce(p, w)
+        assert w._reduced is r._reduced == (p.m, p.n, r._exps, r._signs)
+        for g in (p, q):
+            for v, u in ((w, r), (r, w)):
+                fresh = record_readers(g, parse_word(str(v)), parse_word(str(u)))
+                assert record_readers(g, v, u) == fresh
+
+    def test_record_points_at_the_answers_syllables(self):
+        w = parse_word("t a^4 T a t")
+        r = britton_reduce(P23, w)
+        rec = r._reduced
+        assert rec[2] is r._exps and rec[3] is r._signs and w._reduced is rec
+        assert (list(rec[2]), list(rec[3])) == words_module.reduce_syllables(
+            P23, *word_syllables(w)
+        )
+
+    def test_readers_do_not_write(self):
+        w = parse_word("t a^4 T a t")
+        r = britton_reduce(P2m3, w)
+        element_normal_form(P23, w)
+        orbit_order(P23, w)
+        as_power_of_a(P23, w)
+        check_traceable(P23, r)
+        trace(P23, r)
+        equal_elements(P23, w, r)
+        assert w._reduced is r._reduced and r._reduced[:2] == (2, -3)
+        assert parse_word("t a^4 T a t")._reduced is None
+
+    def test_copy_and_pickle_drop_the_record(self):
+        r = britton_reduce(P23, parse_word("t a^4 T a t"))
+        for v in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert v == r and (v._exps, v._signs) == (r._exps, r._signs)
+            assert v._reduced is None
+
+    @pytest.mark.parametrize(
+        "p, text",
+        [
+            (P23, "a^5 t a^4 T a t A^2 T^2 a"),
+            (P23, "T a^3 t a T a^-7 t^2"),
+            (P12, "T a^3 t a^2 T^2 a t^3"),
+            (GroupParams(-1, 3), "t a^6 T a T a t^2"),
+        ],
+    )
+    def test_oracles_ignore_the_record(self, p, text):
+        """A wrong record fools the closed forms but no oracle."""
+        w = parse_word(text)
+        r = britton_reduce(p, w)
+        wrong = words_module.reduce_syllables(p, *word_syllables(parse_word("a t a^5 T t")))
+        for v in (w, r):
+            fresh = parse_word(str(v))
+            v._reduced = (p.m, p.n, *map(tuple, wrong))
+            assert element_normal_form(p, v) != element_normal_form(p, fresh)
+            assert orbit_order_bruteforce(p, v) == orbit_order_bruteforce(p, fresh)
+            for k in (1, 2):
+                assert index_bruteforce(p, v, k) == index_bruteforce(p, fresh, k)
+            assert conjugacy_normalize(p, v) == conjugacy_normalize(p, fresh)
+            assert default_scan_bound(p, v) == default_scan_bound(p, fresh)
+            if abs(p.m) == 1:
+                assert bs1n_matrix(p, v) == bs1n_matrix(p, fresh)
+                assert bs1n_normal_form(p, v) == bs1n_normal_form(p, fresh)
