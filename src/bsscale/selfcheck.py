@@ -116,9 +116,10 @@ def _matrix(rng: Random) -> str | None:
     for _ in range(40):
         w = random_word(rng, max_len=8)
         u = random_word(rng, max_len=8)
-        if bs1n_matrix(p, w + u) != bs1n_matrix(p, w) * bs1n_matrix(p, u):
+        mw, mu = bs1n_matrix(p, w), bs1n_matrix(p, u)
+        if bs1n_matrix(p, w + u) != mw * mu:
             return f"{w!r} * {u!r}"
-        if (bs1n_matrix(p, w) == bs1n_matrix(p, u)) != equal_elements(p, w, u):
+        if (mw == mu) != equal_elements(p, w, u):
             return f"equality at {w!r}, {u!r}"
 
 

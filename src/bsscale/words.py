@@ -27,9 +27,11 @@ Token text is read and written at about one Python step per token.
 ``_build`` is the one loop that turns tokens into letters and syllables:
 ``parse_word`` gives it the tokens of ``str.split``, and glued text the
 same text with a space put before every letter.  Every spelling of one t
-letter is a dict lookup, and each exponent is left to ``int``.  Only a
-text that fails is walked character by character, by ``_parse_chars``,
-which builds nothing and gives the first error its offset.
+letter, and of an a power with |e| up to 16, is one lookup in a table
+built at import (``_TOKENS``); any other exponent is left to ``int``.
+Only a text that fails is walked character by character, by
+``_parse_chars``, which builds nothing and gives the first error its
+offset.
 ``format_syllables`` writes the a tokens in one comprehension and each t
 run inline.  The letters of a parsed ``Word`` are still written out, by
 string repetition at C speed.
@@ -45,10 +47,11 @@ its result on some words, so it decodes every letter.
 ``britton_reduce`` records its answer's syllables, keyed by (m, n), on
 the word it reduces and on the answer (see ``Word``), so the normal form,
 orbit order, trace check and equality test that follow it in one group do
-not repeat its pass.  Only the closed forms read the record: the
-brute-force scans in ``cosets``, the BS(1, n) oracles and conjugacy
-normalization reduce the syllables themselves, so a wrong record cannot
-sit on both sides of a check.
+not repeat its pass.  ``_record`` is its one reader, and only the closed
+forms call it: the brute-force scans in ``cosets``, the BS(1, n) oracles
+and conjugacy normalization reduce the syllables themselves, so a wrong
+record cannot sit on both sides of a check (``tests/test_independence.py``
+traces them).
 
 Conjugacy normalization applies its moves in one left-to-right pass that
 keeps their greedy order, since z depends on that order; each syllable is
@@ -58,6 +61,7 @@ read once, so its cost is linear in the syllables.
 from __future__ import annotations
 
 import re
+from operator import neg
 
 from .errors import DomainError, InvariantError, ParseError, WordConditionError
 from .params import GroupParams
@@ -65,11 +69,30 @@ from .params import GroupParams
 _LETTERS = "aAtT"
 _DIGITS = "0123456789"  # exponents take ASCII digits only
 _INVERT = str.maketrans("aAtT", "AaTt")
-# every spelling of a single t letter, with its sign
-_T_SIGNS = {
-    "t": 1, "t^1": 1, "t^+1": 1, "T^-1": 1,
-    "T": -1, "T^1": -1, "T^+1": -1, "t^-1": -1,
-}
+# the largest |e| of an a^e token read from _TOKENS: each doubling past 16
+# adds about 50 us to import for little gain on long token text
+_SHORT_POWER = 16
+
+
+def _token_table() -> dict[str, tuple[str, int, int]]:
+    """Every spelling of one t letter, of t^0, and of a^e and A^-e with
+    |e| <= ``_SHORT_POWER`` (no leading zeros), mapped to (its letters,
+    its a exponent, its t sign): 118 tokens."""
+    table = {"a": ("a", 1, 0), "A": ("A", -1, 0)}
+    for k in range(_SHORT_POWER + 1):
+        for spelled, e in ((str(k), k), (f"+{k}", k), (f"-{k}", -k)):
+            for letter, x in (("a", e), ("A", -e)):
+                table[f"{letter}^{spelled}"] = ("a" * x if x >= 0 else "A" * -x, x, 0)
+    for tok in ("t", "t^1", "t^+1", "T^-1"):
+        table[tok] = ("t", 0, 1)
+    for tok in ("T", "T^1", "T^+1", "t^-1"):
+        table[tok] = ("T", 0, -1)
+    for tok in ("t^0", "t^+0", "t^-0", "T^0", "T^+0", "T^-0"):
+        table[tok] = ("", 0, 0)
+    return table
+
+
+_TOKENS = _token_table()
 _EXPONENT_END = re.compile("(?<=[0-9])(?=[^0-9])")  # the end of each run of digits
 _SHORT_A = ("", "a", "A")  # the a token of an exponent in {0, 1, -1}, by index
 
@@ -88,8 +111,9 @@ class Word(str):
     argument and on its answer, whose record holds the answer's own tuples.
     In that group, and no other, ``element_normal_form``, ``orbit_order``
     and ``as_power_of_a`` read the recorded syllables instead of reducing
-    again, ``equal_elements`` starts from them for its first word, and
-    ``check_traceable`` passes a word whose record is its own syllables.
+    again, ``equal_elements`` reads them for both words and answers at once
+    when the two are equal, and ``check_traceable`` passes a word whose
+    record is its own syllables.
     The record is a pure function of the word and (m, n), and each
     ``britton_reduce`` call writes it once, whole, in one slot store, so a
     concurrent reader sees no record or a whole one.  A copy or pickle
@@ -169,10 +193,10 @@ def parse_word(text: str) -> Word:
 def _build(tokens: list[str]) -> Word:
     """The Word of tokens, each a letter from ``a A t T`` optionally
     followed by ``^`` and an integer, at about one Python step per token:
-    each spelling of one t letter is one dict lookup, and an ``x^k`` token
-    is one slice and one ``int``.  Raises ValueError at any other token,
-    and OverflowError(k, e) when token k's exponent e is too large to
-    expand into letters.
+    a token in ``_TOKENS`` (one t letter or a short a power) is one dict
+    lookup, and any other ``x^k`` token is one slice and one ``int``.
+    Raises ValueError at any other token, and OverflowError(k, e) when
+    token k's exponent e is too large to expand into letters.
 
     A token of ``parse_word`` holds no whitespace, no ``_`` and only ASCII
     characters, and ``int`` accepts such a string exactly when it is
@@ -183,12 +207,16 @@ def _build(tokens: list[str]) -> Word:
     signs: list[int] = []
     acc = 0  # exponent of the open a run
     for tok in tokens:  # one piece per token: len(pieces) is the index of tok
-        sign = _T_SIGNS.get(tok)
-        if sign:  # one t letter, the commonest token
-            pieces.append("t" if sign > 0 else "T")
-            exps.append(acc)
-            acc = 0
-            signs.append(sign)
+        short = _TOKENS.get(tok)
+        if short is not None:  # one t letter or a short a power: most tokens
+            piece, exp, sign = short
+            pieces.append(piece)
+            if sign:
+                exps.append(acc)
+                acc = 0
+                signs.append(sign)
+            else:
+                acc += exp
             continue
         ch = tok[0]
         if ch not in _LETTERS:
@@ -490,8 +518,9 @@ def check_traceable(p: GroupParams, w: str) -> list[int]:
     answer, whose record in p's group is its own syllables, passes at once.
     """
     if isinstance(w, Word):
-        exps, signs, rec = w._exps, w._signs, w._reduced
-        if rec is not None and rec[2] is exps and rec[0] == p.m and rec[1] == p.n:
+        exps, signs = w._exps, w._signs
+        rec = _record(p, w)
+        if rec is not None and rec[0] is exps:
             return list(signs)
     else:
         exps, signs = _decode_letters(w)
@@ -523,15 +552,21 @@ def britton_reduce(p: GroupParams, w: str) -> Word:
     return r
 
 
+def _record(p: GroupParams, w: str):
+    """The syllables (exps, signs) that ``britton_reduce`` recorded on w in
+    p's group, as tuples, or None: the one place that reads a record."""
+    rec = w._reduced if isinstance(w, Word) else None
+    if rec is not None and rec[0] == p.m and rec[1] == p.n:
+        return rec[2:]
+    return None
+
+
 def _reduced_syllables(p: GroupParams, w: str):
     """``reduce_syllables`` of w's syllables, for a caller that only reads
-    them: the record ``britton_reduce`` left on a ``Word`` in p's group, or
-    else a fresh reduction, which is not recorded."""
+    them: w's record in p's group, or else a fresh reduction, which is not
+    recorded."""
     if isinstance(w, Word):
-        rec = w._reduced
-        if rec is not None and rec[0] == p.m and rec[1] == p.n:
-            return rec[2], rec[3]
-        return reduce_syllables(p, w._exps, w._signs)
+        return _record(p, w) or reduce_syllables(p, w._exps, w._signs)
     return reduce_syllables(p, *_decode_letters(w))
 
 
@@ -546,21 +581,19 @@ def as_power_of_a(p: GroupParams, w: str) -> int | None:
 
 
 def equal_elements(p: GroupParams, w: str, u: str) -> bool:
-    """Decide w = u in BS(m, n) by reducing w u^-1, joined in syllable form;
-    w's part is its recorded reduction in p's group, when it has one."""
-    if isinstance(w, Word):
-        rec = w._reduced
-        if rec is not None and rec[0] == p.m and rec[1] == p.n:
-            we, ws = rec[2], rec[3]
-        else:
-            we, ws = w._exps, w._signs
-    else:
-        we, ws = _decode_letters(w)
-    ue, us = _read_syllables(u)
+    """Decide w = u in BS(m, n).  Two words with the same record in p's
+    group are equal at once; otherwise w u^-1 is reduced, joined in
+    syllable form from each word's record, when it has one, or else its
+    syllables."""
+    wr, ur = _record(p, w), _record(p, u)
+    if wr is not None and wr == ur:
+        return True
+    we, ws = wr or _read_syllables(w)
+    ue, us = ur or _read_syllables(u)
     exps = list(we)
     exps[-1] -= ue[-1]  # the junction run
-    exps += [-e for e in ue[-2::-1]]  # the rest of u^-1
-    exps, signs = reduce_syllables(p, exps, [*ws, *[-s for s in reversed(us)]])
+    exps += map(neg, ue[-2::-1])  # the rest of u^-1
+    exps, signs = reduce_syllables(p, exps, [*ws, *map(neg, reversed(us))])
     return not signs and exps[0] == 0
 
 

@@ -498,7 +498,9 @@ class TestSyllableConsumers:
     @pytest.mark.parametrize("p", [P23, GroupParams(3, -5), P24, GroupParams(1, 3)])
     def test_chain_reduces_once(self, p, monkeypatch):
         """Only britton_reduce reduces, and its record is read by the value
-        (m, n): the readers below get a GroupParams equal to p, not p."""
+        (m, n): the readers below get a GroupParams equal to p, not p.
+        equal_elements finds the same record on w and r and reduces
+        nothing."""
         calls = []
         reduce = words_module.reduce_syllables
 
@@ -522,7 +524,7 @@ class TestSyllableConsumers:
             counts.append(len(calls) - before)
             if before == 0:
                 r = out
-        assert counts == [1, 0, 0, 0, 1]
+        assert counts == [1, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("p", [P23, GroupParams(2, -2)])
     def test_moller_decodes_a_plain_string_once(self, p, monkeypatch):
@@ -709,6 +711,27 @@ class TestParsePaths:
             tracemalloc.stop()
         assert exc.value.offset == 21 and peak < 100_000
 
+    @pytest.mark.parametrize("letter", "aAtT")
+    def test_token_table_matches_the_int_path(self, letter, monkeypatch):
+        """Every spelling of a power of one letter, up to two past the
+        table's bound and with a leading zero too (``a^03``), gives the Word,
+        or the error offset, that the int path gives without the table."""
+        bound = words_module._SHORT_POWER
+        assert {"a^16", "A^-16", "t^-1", "T^+1", "t^0"} <= words_module._TOKENS.keys()
+        assert "a^17" not in words_module._TOKENS and "t^2" not in words_module._TOKENS
+        spellings = [letter] + [
+            f"{letter}^{sign}{zero}{k}"
+            for k in range(bound + 3) for sign in ("", "+", "-") for zero in ("", "0")
+        ]
+        texts = []
+        for tok in spellings:
+            texts += [f"t {tok} a {tok} T", f"{tok}{tok}t{tok}", f"{tok} {tok} b",
+                      f"{tok} a^{10**30}", f"{tok}x"]
+        with_table = [_parse_outcome(parse_word, text) for text in texts]
+        monkeypatch.setattr(words_module, "_TOKENS", {})
+        assert [_parse_outcome(parse_word, text) for text in texts] == with_table
+        assert with_table == [_parse_outcome(character_loop, text) for text in texts]
+
 
 def _parse_outcome_without_the_walk(text):
     """_parse_outcome of parse_word, failing if text reaches the error walk."""
@@ -789,6 +812,45 @@ class TestBrittonRecord:
         equal_elements(P23, w, r)
         assert w._reduced is r._reduced and r._reduced[:2] == (2, -3)
         assert parse_word("t a^4 T a t")._reduced is None
+
+    @pytest.mark.parametrize("p", [P23, P24, GroupParams(2, -2), GroupParams(1, 3)])
+    def test_equal_records_answer_without_reducing(self, p, monkeypatch):
+        w = parse_word("a^5 t a^4 T a t A^2 T^2 a")
+        r = britton_reduce(p, w)
+        v = parse_word(str(w))
+        britton_reduce(p, v)  # an equal record in other tuples
+
+        def refuse(*args):
+            raise AssertionError("reduced")
+
+        monkeypatch.setattr(words_module, "reduce_syllables", refuse)
+        for x, y in ((w, r), (r, w), (v, r), (w, v), (r, r)):
+            assert equal_elements(p, x, y)
+
+    def test_equality_reads_a_record_in_its_own_group_only(self):
+        """The same planted record on two unequal words makes them equal in
+        its group, and nowhere else."""
+        w, u = parse_word("t a T"), parse_word("a")
+        for v in (w, u):
+            v._reduced = (2, -3, (1,), ())
+        assert equal_elements(GroupParams(2, -3), w, u)
+        assert not equal_elements(P23, w, u) and not equal_elements(GroupParams(-2, 3), w, u)
+
+    @given(group_pairs, token_text, token_text, st.booleans())
+    @settings(max_examples=200)
+    def test_equality_with_a_record_on_one_side(self, pq, x, y, relator):
+        p, q = pq
+        if relator:  # y equals x in p
+            y = f"{x} t a^{p.m} T a^{-p.n}"
+        want = as_power_of_a(p, parse_word(x) + invert_word(parse_word(y))) == 0
+        w, u = parse_word(x), parse_word(y)
+        britton_reduce(p, w)
+        assert equal_elements(p, w, u) == equal_elements(p, u, w) == want
+        assert equal_elements(p, w, str(u)) == equal_elements(p, str(u), w) == want
+        britton_reduce(q, u)  # a record in another group
+        assert equal_elements(p, w, u) == equal_elements(p, u, w) == want
+        if relator:
+            assert want
 
     def test_copy_and_pickle_drop_the_record(self):
         r = britton_reduce(P23, parse_word("t a^4 T a t"))
