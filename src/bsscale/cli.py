@@ -23,8 +23,10 @@ import bsscale
 from .errors import BudgetError, DomainError, ParseError
 from .params import DEFAULT_BUDGET, GroupParams
 from .words import (
+    _read_free_syllables,
     _reduced_syllables,
     check_traceable,
+    conjugacy_normalize_syllables,
     equal_elements,
     format_syllables,
     parse_word,
@@ -171,11 +173,16 @@ def _check_digits(base: int, exponent: int) -> None:
         str(base ** min(exponent, 4 * limit // (base.bit_length() - 1) + 1))
 
 
-def _check_node_digits(p: GroupParams, a: int, b: int) -> None:
-    """``_check_digits`` on both factors of the node g (l/|n|)^a (l/|m|)^b,
-    each on its own, so a node that fits the limit is never refused."""
-    _check_digits(p.l_over_n, a)
-    _check_digits(p.l_over_m, b)
+def _check_walk(p: GroupParams, signs, k: int = 1) -> None:
+    """``_check_digits`` on both factors of the trace of w^k, the node
+    g (l/|n|)^a (l/|m|)^b that ``graph._walk`` of w's t signs gives, each
+    on its own, so a node that fits the limit is never refused.  Every
+    node answer is at least that trace, so it is checked before any step."""
+    from .graph import _walk
+
+    rho, low, high = _walk(signs, k)
+    _check_digits(p.l_over_n, rho - low)
+    _check_digits(p.l_over_m, high - rho)
 
 
 def run(argv: list[str], out=None, err=None) -> int:
@@ -296,12 +303,10 @@ def _moller(p, args):
     if args.kmax > args.budget:
         raise BudgetError(f"kmax {args.kmax} asks for more indices than the budget {args.budget}")
     word = parse_word(args.word)
-    sv = bsscale.scale(p, word)
-    # r_k >= s(w)^k: the scale is the least displacement index over compact
-    # open subgroups, so r_kmax has at least the digits of s(w)^kmax.
-    _check_digits(sv.base, sv.exponent * args.kmax)
+    if not p.discrete:  # the largest index, r_kmax, is the trace of z^kmax
+        _check_walk(p, conjugacy_normalize_syllables(p, *_read_free_syllables(word))[1], args.kmax)
     seq, stable = bsscale.moller_stabilization(p, word, args.kmax)
-    target = sv.value
+    target = bsscale.scale(p, word).value
     ratio = str(seq[-1] // seq[-2]) if len(seq) > 1 and seq[-2] and seq[-1] % seq[-2] == 0 else "?"
     verdict = "OK" if stable else "DIAG ratios not stabilized at bound"
     return f"{' '.join(str(v) for v in seq)} | ratio {ratio} | scale {target} {verdict}", {
@@ -320,12 +325,9 @@ def _moller(p, args):
     notice=True,
 )
 def _trace(p, args):
-    from .graph import _walk
-
     word = parse_word(args.word)
-    if args.start == 1 and args.h == 1:  # size the answer from the walk of w, once w passes
-        rho, low, high = _walk(check_traceable(p, word))
-        _check_node_digits(p, rho - low, high - rho)
+    if args.start >= 1 and args.h >= 1:  # the trace from 1 divides the one from start, h
+        _check_walk(p, check_traceable(p, word))
     val = bsscale.trace(p, word, start=args.start, h=args.h)
     return str(val), {"trace": str(val)}
 
@@ -359,11 +361,8 @@ def _omega_dist(p, args):
 
 @_command("orbit", _arg("word"), notice=True)
 def _orbit(p, args):
-    from .graph import _walk
-
     word = parse_word(args.word)
-    _, low, high = _walk(_reduced_syllables(p, word)[1])  # the walk of the reduced word
-    _check_node_digits(p, -low, high)
+    _check_walk(p, [-s for s in reversed(_reduced_syllables(p, word)[1])])  # the trace of u^-1
     val = bsscale.orbit_order(p, word)
     return str(val), {"orbit_order": str(val)}
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import BudgetError, DomainError, InvariantError
-from .graph import _dot
+from .graph import _dot, _node_value
 from .normal_forms import CosetId, ElementNormalForm, coset_of, coset_word
 from .params import DEFAULT_BUDGET, GroupParams, Record
 from .words import (
@@ -231,8 +231,8 @@ def orbit_census(
 
     The order at u<a> is the least d with u^-1 a^d u in <a>.  As in the
     scans, it depends only on the t-letter signs of the reduced u: with P
-    their walk of prefix sums, it is g (l/|n|)^(-min P) (l/|m|)^(max P),
-    the level geometry of ``graph``, and 1 at the base vertex.  The census
+    their walk of prefix sums, it is the node ``graph._node_value`` gives
+    at (-min P, max P), which is 1 at the base vertex.  The census
     counts the walks of length at most ``radius`` by their state (end,
     max, min, last sign), each with its vertex count: a coset word puts one
     of |n| residues before a t letter and one of |m| before a t^-1 letter,
@@ -251,7 +251,7 @@ def orbit_census(
                     e = end + s
                     nxt[e, max(hi, e), min(lo, e), s] += count * residues
         for (_, hi, lo, _), count in nxt.items():
-            census[p.g * p.l_over_n**-lo * p.l_over_m**hi] += count
+            census[_node_value(p, -lo, hi)] += count
         level = nxt
     return census
 

@@ -95,14 +95,21 @@ def trace(p: GroupParams, w: str, start: int = 1, h: int = 1) -> int:
     return _fold(p, labels, start, h) if labels else math.lcm(start, h)
 
 
-def _walk(signs) -> tuple[int, int, int]:
-    """(rho, min S, max S) for the walk S of prefix sums of the t signs,
-    from 0 to rho.  For a freely reduced pinch-free w with at least one t
-    letter, trace(p, w) = g (l/|n|)^(rho - min S) (l/|m|)^(max S - rho), and
-    the orbit order of u<a> is g (l/|n|)^(-min S) (l/|m|)^(max S) with S
-    the walk of the reduced u (1 when it has no t letter)."""
+def _walk(signs, k: int = 1) -> tuple[int, int, int]:
+    """(k rho, min S, max S) for the walk S of prefix sums of the t signs of
+    w^k, from 0 to k rho: each copy of w shifts the walk of w by rho, so
+    its extremes move by (k - 1) rho on one side only.  For a freely reduced
+    pinch-free w^k, trace(p, w^k) is ``_node_value(p, k rho - min S,
+    max S - k rho)``, and the orbit order of u<a> is the trace of the
+    reduced u^-1."""
     sums = list(accumulate(signs, initial=0))
-    return sums[-1], min(sums), max(sums)
+    rho, shift = sums[-1], (k - 1) * sums[-1]
+    return k * rho, min(sums) + min(shift, 0), max(sums) + max(shift, 0)
+
+
+def _node_value(p: GroupParams, a: int, b: int) -> int:
+    """The node g alpha^a beta^b at (a, b), and the root 1 at (0, 0)."""
+    return p.g * p.l_over_n**a * p.l_over_m**b if a or b else 1
 
 
 def _strip(v: int, base: int) -> tuple[int, int]:
@@ -220,12 +227,7 @@ def level_nodes(p: GroupParams, level: int) -> list[OmegaNode]:
         raise DomainError("level layout undefined in the divisor case")
     if level < 0:
         raise DomainError(f"level {level} is negative; levels start at 0")
-    if level == 0:
-        return [_node(1, 0, 0)]
-    alpha, beta = p.l_over_n, p.l_over_m
-    return [
-        _node(p.g * alpha ** (level - b) * beta**b, level - b, b) for b in range(level + 1)
-    ]
+    return [_node(_node_value(p, level - b, b), level - b, b) for b in range(level + 1)]
 
 
 def nodes_through(p: GroupParams, max_level: int) -> list[OmegaNode]:

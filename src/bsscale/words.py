@@ -519,7 +519,7 @@ def check_traceable(p: GroupParams, w: str) -> list[int]:
     """
     if isinstance(w, Word):
         exps, signs = w._exps, w._signs
-        rec = _record(p, w)
+        rec = w._reduced and _record(p, w)
         if rec is not None and rec[0] is exps:
             return list(signs)
     else:
@@ -566,7 +566,7 @@ def _reduced_syllables(p: GroupParams, w: str):
     them: w's record in p's group, or else a fresh reduction, which is not
     recorded."""
     if isinstance(w, Word):
-        return _record(p, w) or reduce_syllables(p, w._exps, w._signs)
+        return w._reduced and _record(p, w) or reduce_syllables(p, w._exps, w._signs)
     return reduce_syllables(p, *_decode_letters(w))
 
 

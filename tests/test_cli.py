@@ -23,7 +23,7 @@ from bsscale import (
     enumerate_ball,
     export_dot,
 )
-from bsscale import cli, graph, normal_forms, selfcheck
+from bsscale import cli, graph, invariants, normal_forms, selfcheck
 from bsscale import words as words_module
 from bsscale.cli import run
 from bsscale.graph import to_dot
@@ -82,7 +82,6 @@ EXIT_CASES = [
     ('--group 2,3 orbit-brute "t^10"', 0),
     ("--group 3,6 census --radius 3", 0),
     ("--group=3,-2 census --radius 4", 0),
-    # four t^-1 letters: a check past 2N + 1 = 9 would compare no ratio
     ("--group 2,3 moller --kmax 8 TaTaTaTa", 0, " OK\n"),
     # nested words: one strip per t run, and no normalization when discrete
     ('--group 2,3 moller --kmax 2 "t^200000 a T^200000"', 0),
@@ -123,6 +122,13 @@ EXIT_CASES = [
     # and refuse no answer that fits: 2^14284 and 3^9012 have 4,300 digits
     ("--group 2,3 trace t^14284", 0),
     ("--group 2,3 orbit t^9012", 0),
+    # so do moller, from the walk of z^kmax, and trace at any --start and --h
+    ('--group 2,3 moller --kmax 3 "t^80000 a T^80000 a"', 3),
+    ("--group 2,3 trace --h 2 t^200000", 3),
+    ("--group 2,3 moller --kmax 2 t^7142", 0),
+    ("--group 2,3 moller --kmax 2 t^7143", 3),
+    ("--group 2,3 trace --h 2 t^14284", 0),
+    ("--group 2,3 trace --h 2 t^14285", 3),
 ]
 
 
@@ -508,6 +514,26 @@ class TestExitCodes:
         code, out, err = invoke(["--output", "json"] + argv)
         assert (code, out, err) == (3, "", f"domain error: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moller", "--kmax", "3", "t^40000 a T^40000 a"],
+            ["moller", "--kmax", "2", "t^7143"],  # 2^7143 fits; 2^14286 does not
+            ["trace", "--h", "2", "t^50000"],
+            ["trace", "--start", "3", "t^50000"],
+            ["orbit", "t^50000"],
+        ],
+    )
+    def test_node_answers_sized_before_any_step(self, argv, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a step ran before the answer was sized")
+
+        monkeypatch.setattr(graph, "step", refuse)
+        monkeypatch.setattr(invariants, "step", refuse)
+        code, out, err = invoke(["--group", "2,3"] + argv)
+        assert (code, out) == (3, "")
+        assert err == f"domain error: answer has more than {sys.get_int_max_str_digits()} digits\n"
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -4,7 +4,7 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bsscale import (
@@ -31,13 +31,15 @@ from bsscale.graph import (
     RIGHT_RAY,
     ROOT,
     UNSTRUCTURED,
+    _node_value,
     _walk,
     level_nodes,
     nodes_through,
     to_dot,
 )
 from bsscale.sampling import random_pinch_free_word
-from bsscale.words import word_syllables
+from bsscale.invariants import moller_stabilization
+from bsscale.words import conjugacy_normalize_syllables, word_syllables
 
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
@@ -328,9 +330,14 @@ class TestTraceGeometry:
         assert g.mu <= 0
 
 
+# group parameters m, n in +-1..6, and short words over a A t T
+PARAMETER = st.integers(-6, 6).filter(bool)
+SHORT_WORDS = st.text(alphabet="aAtT", max_size=12)
+
+
 class TestWalkSizes:
-    """The walk of the t signs sizes trace and orbit answers before any
-    step: the node g (l/|n|)^a (l/|m|)^b it predicts must be the fold's."""
+    """The walk of the t signs sizes trace, orbit and Moller answers before
+    any step: the node g (l/|n|)^a (l/|m|)^b it predicts must be the fold's."""
 
     @given(
         st.integers(-6, 6).filter(bool),
@@ -346,13 +353,29 @@ class TestWalkSizes:
         r = britton_reduce(p, w)
         signs = word_syllables(r)[1]
         rho, low, high = _walk(signs)
-
-        def node(a, b):
-            return p.g * p.l_over_n**a * p.l_over_m**b if signs else 1
-
-        assert trace(p, r) == node(rho - low, high - rho)
+        assert trace(p, r) == _node_value(p, rho - low, high - rho)
         for u in (w, r):
-            assert orbit_order(p, u) == node(-low, high)
+            assert orbit_order(p, u) == _node_value(p, -low, high)
+
+    @given(PARAMETER, PARAMETER, SHORT_WORDS, st.integers(1, 40), st.integers(1, 40))
+    @settings(max_examples=400, deadline=None)
+    @example(2, 3, "taT", 3, 2)
+    def test_trace_from_1_divides_every_trace(self, m, n, w, start, h):
+        """So the walk of w sizes the trace from any start and h."""
+        p = GroupParams(m, n)
+        r = britton_reduce(p, w)
+        assert trace(p, r, start=start, h=h) % trace(p, r) == 0
+
+    @given(PARAMETER, PARAMETER, SHORT_WORDS, st.integers(1, 5))
+    @settings(max_examples=400, deadline=None)
+    @example(2, 3, "tATa", 3)
+    @example(-2, 4, "TaTAt", 4)  # divisor case
+    def test_walk_of_z_power_gives_the_last_moller_index(self, m, n, w, k):
+        p = GroupParams(m, n)
+        assume(not p.discrete)  # every index is 1 without a normalization
+        signs = conjugacy_normalize_syllables(p, *word_syllables(w))[1]
+        rho, low, high = _walk(signs, k)
+        assert _node_value(p, rho - low, high - rho) == moller_stabilization(p, w, k)[0][-1]
 
 
 class TestRayPaths:

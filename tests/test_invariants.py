@@ -127,7 +127,7 @@ class TestMoller:
     @given(st.sampled_from(selfcheck._GROUPS), words)
     @settings(max_examples=200, deadline=None)
     def test_indices_at_least_scale_powers(self, p, w):
-        # the CLI's moller digit check rests on r_k >= s(w)^k
+        # the scale is the least displacement index, so r_k >= s(w)^k
         s = scale(p, w).value
         for k, r in enumerate(moller_sequence(p, w, 8), 1):
             assert r >= s**k
