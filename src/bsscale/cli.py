@@ -23,10 +23,8 @@ import bsscale
 from .errors import BudgetError, DomainError, ParseError
 from .params import DEFAULT_BUDGET, GroupParams
 from .words import (
-    _read_free_syllables,
     _reduced_syllables,
     check_traceable,
-    conjugacy_normalize_syllables,
     equal_elements,
     format_syllables,
     parse_word,
@@ -302,12 +300,14 @@ def _kernel(p, args):
 def _moller(p, args):
     if args.kmax > args.budget:
         raise BudgetError(f"kmax {args.kmax} asks for more indices than the budget {args.budget}")
+    from . import invariants
+
     word = parse_word(args.word)
-    if not p.discrete:  # the largest index, r_kmax, is the trace of z^kmax
-        _check_walk(p, conjugacy_normalize_syllables(p, *_read_free_syllables(word))[1], args.kmax)
-    seq, stable = bsscale.moller_stabilization(p, word, args.kmax)
+    rho, signs = invariants._normalized(p, word)
+    _check_walk(p, signs, args.kmax)  # the largest index, r_kmax, is the trace of z^kmax
+    seq, stable = invariants._indices(p, rho, signs, args.kmax)
     target = bsscale.scale(p, word).value
-    ratio = str(seq[-1] // seq[-2]) if len(seq) > 1 and seq[-2] and seq[-1] % seq[-2] == 0 else "?"
+    ratio = str(seq[-1] // seq[-2]) if len(seq) > 1 and seq[-1] % seq[-2] == 0 else "?"
     verdict = "OK" if stable else "DIAG ratios not stabilized at bound"
     return f"{' '.join(str(v) for v in seq)} | ratio {ratio} | scale {target} {verdict}", {
         "indices": [str(v) for v in seq],

@@ -119,21 +119,31 @@ def moller_sequence(p: GroupParams, w: str, k_max: int) -> list[int]:
 
 def moller_stabilization(p: GroupParams, w: str, k_max: int) -> tuple[list[int], bool]:
     """The index sequence plus whether every consecutive ratio
-    r_(k+1) / r_k, from k = 1 on, equals scale(w).
-    A discrete group normalizes nothing: every index and the scale are 1.
-    The word is read once; cutting its t pairs keeps its t-exponent."""
+    r_(k+1) / r_k, from k = 1 on, equals scale(w)."""
+    return _indices(p, *_normalized(p, w), k_max)
+
+
+def _normalized(p: GroupParams, w: str) -> tuple[int, list[int]]:
+    """(rho, the t signs of z): w's t-exponent, read before normalizing,
+    and the t letters of its conjugacy normalization z, which is never
+    written.  The word is read once; cutting its t pairs keeps its
+    t-exponent.  A discrete group normalizes nothing: its z has no t."""
     exps, signs = _read_free_syllables(w)  # the ParseError for a bad letter comes here
-    if p.discrete:
-        return [1] * k_max, True
-    target = _scale_at(p, sum(signs)).value
-    labels = conjugacy_normalize_syllables(p, exps, signs)[1]  # z is never written
+    return sum(signs), [] if p.discrete else conjugacy_normalize_syllables(p, exps, signs)[1]
+
+
+def _indices(p: GroupParams, rho: int, signs: list[int], k_max: int) -> tuple[list[int], bool]:
+    """``moller_stabilization`` from ``_normalized``: r_k is the trace of
+    z^k, and each ratio is checked against the scale at rho.  No signs
+    fold to 1s, the scale of a discrete group."""
+    target = _scale_at(p, rho).value
     seq = []
     x = 1
     for _ in range(k_max):
-        for eps in labels:
+        for eps in signs:
             x = step(p, x, eps)
         seq.append(x)
-    ok = all(seq[k] == seq[k - 1] * target for k in range(1, len(seq)))
+    ok = all(b == a * target for a, b in zip(seq, seq[1:]))
     return seq, ok
 
 

@@ -510,6 +510,7 @@ class TestExitCodes:
 
         for name in ("nodes_through", "to_dot", "moller_stabilization"):
             monkeypatch.setattr(bsscale, name, refuse)
+        monkeypatch.setattr(invariants, "_indices", refuse)  # moller sizes z from _normalized
         monkeypatch.chdir(tmp_path)
         code, out, err = invoke(["--output", "json"] + argv)
         assert (code, out, err) == (3, "", f"domain error: {message}\n")
@@ -557,6 +558,8 @@ class TestExitCodes:
 
         for name in ("scale", "moller_stabilization", "step"):
             monkeypatch.setattr(bsscale, name, refuse)
+        for name in ("_normalized", "_indices"):
+            monkeypatch.setattr(invariants, name, refuse)
         monkeypatch.setattr(graph, "step", refuse)
         argv = ["--group", "2,3", "--budget", "5", "moller", "--kmax", "6", "t"]
         code, out, err = invoke(argv)
@@ -910,3 +913,43 @@ class TestArgvFuzz:
         if code in ERROR_CLASS:
             assert out == ""
             assert err.splitlines()[-1].startswith(ERROR_CLASS[code])
+
+
+_NONZERO = st.sampled_from([*range(-6, 0), *range(1, 7)])
+
+
+class TestMollerRoute:
+    """``moller`` sizes its answer and folds it from one normalization of
+    the word, the one ``moller_stabilization`` makes."""
+
+    @pytest.mark.parametrize("group,calls", [("2,3", 1), ("2,2", 0)])
+    def test_word_normalized_once(self, group, calls):
+        code = words_module.conjugacy_normalize_syllables.__code__
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                seen.append(frame)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = invoke(["--group", group, "moller", "--kmax", "2", "t^2000 a T^2000"])
+        finally:
+            sys.setprofile(previous)
+        assert result[0] == 0
+        assert len(seen) == calls
+
+    @given(_NONZERO, _NONZERO, _GOOD_WORDS, st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_json_matches_the_library(self, m, n, word, k):
+        code, out, err = invoke(
+            ["--group", f"{m},{n}", "--output", "json", "moller", "--kmax", str(k), word]
+        )
+        assert (code, err) == (0, "")
+        p, w = GroupParams(m, n), words_module.parse_word(word)
+        seq, stable = invariants.moller_stabilization(p, w, k)
+        payload = json.loads(out)
+        assert payload["indices"] == [str(v) for v in seq]
+        assert payload["stable"] is stable
+        assert payload["scale"] == str(bsscale.scale(p, w).value)

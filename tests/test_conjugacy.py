@@ -232,6 +232,9 @@ run_words = st.lists(
 @example(GroupParams(1, 3), "attAT")  # a pinch merges into the last a run
 @example(GroupParams(1, 3), "taTTA")  # a pinch empties the read part
 @example(GroupParams(1, 3), "taT")  # the strip comes before the pinch
+# after a pinch merges into the last a run, a t strip takes both letters from the stack
+@example(P23, "taTAtaaTAA")
+@example(GroupParams(2, 4), "TTAAAAttttaaTAAAA")
 @settings(max_examples=600, deadline=None)
 def test_matches_greedy_reference(p, w):
     assert conjugacy_normalize_with_certificate(p, w) == greedy_normalize(p, w)
