@@ -23,8 +23,6 @@ import bsscale
 from .errors import BudgetError, DomainError, ParseError
 from .params import DEFAULT_BUDGET, GroupParams
 from .words import (
-    _reduced_syllables,
-    check_traceable,
     equal_elements,
     format_syllables,
     parse_word,
@@ -305,6 +303,9 @@ def _moller(p, args):
     word = parse_word(args.word)
     rho, signs = invariants._normalized(p, word)
     _check_walk(p, signs, args.kmax)  # the largest index, r_kmax, is the trace of z^kmax
+    steps = args.kmax * len(signs)  # the steps _indices takes
+    if steps > args.budget:
+        raise BudgetError(f"kmax {args.kmax} asks for {steps} steps, over the budget {args.budget}")
     seq, stable = invariants._indices(p, rho, signs, args.kmax)
     target = bsscale.scale(p, word).value
     ratio = str(seq[-1] // seq[-2]) if len(seq) > 1 and seq[-1] % seq[-2] == 0 else "?"
@@ -325,10 +326,11 @@ def _moller(p, args):
     notice=True,
 )
 def _trace(p, args):
-    word = parse_word(args.word)
-    if args.start >= 1 and args.h >= 1:  # the trace from 1 divides the one from start, h
-        _check_walk(p, check_traceable(p, word))
-    val = bsscale.trace(p, word, start=args.start, h=args.h)
+    from . import graph
+
+    labels = graph._trace_labels(p, parse_word(args.word), args.start, args.h)
+    _check_walk(p, labels)  # the trace from 1 divides the one from start, h
+    val = graph._fold(p, labels, args.start, args.h)
     return str(val), {"trace": str(val)}
 
 
@@ -361,9 +363,11 @@ def _omega_dist(p, args):
 
 @_command("orbit", _arg("word"), notice=True)
 def _orbit(p, args):
-    word = parse_word(args.word)
-    _check_walk(p, [-s for s in reversed(_reduced_syllables(p, word)[1])])  # the trace of u^-1
-    val = bsscale.orbit_order(p, word)
+    from . import graph, invariants
+
+    labels = invariants._coset_labels(p, parse_word(args.word))
+    _check_walk(p, labels)
+    val = graph._fold(p, labels, 1, 1)
     return str(val), {"orbit_order": str(val)}
 
 

@@ -17,6 +17,11 @@ level; a t^-1 edge moves one node right, or from the right end up to the
 right end of the next level.  Path endpoints are determined by the maximum
 prefix t-exponent sum of the traced word.  Listings build each node from
 its coordinates (a, b); classify_node strips them out of outside values.
+
+``_fold`` is the one fold of ``step`` over t signs.  Each node answer is
+a reader that takes the signs from a word once, then that fold: a trace
+(``_trace_labels``), an orbit order (``invariants._coset_labels``) or a
+Möller index (``invariants._normalized``).
 """
 
 from __future__ import annotations
@@ -68,13 +73,16 @@ def step_h(p: GroupParams, x: int, eps: int, h: int) -> int:
     return math.lcm(step(p, x, eps), h)
 
 
-def _fold(p: GroupParams, labels, start: int, h: int) -> int:
+def _fold(p: GroupParams, labels: list[int], start: int, h: int) -> int:
+    """The node reached from ``start`` along the t signs ``labels``,
+    intersecting with <a^h> at every step; lcm(start, h) when there are no
+    signs."""
     x = start
     for eps in labels:
         x = step(p, x, eps)
         if h > 1:  # the lcm with 1 changes nothing
             x = math.lcm(x, h)
-    return x
+    return x if labels else math.lcm(start, h)
 
 
 def trace(p: GroupParams, w: str, start: int = 1, h: int = 1) -> int:
@@ -87,12 +95,18 @@ def trace(p: GroupParams, w: str, start: int = 1, h: int = 1) -> int:
     Raises WordConditionError when w is not freely reduced or has a pinch,
     and NotANodeError when start or h is below 1.
     """
+    return _fold(p, _trace_labels(p, w, start, h), start, h)
+
+
+def _trace_labels(p: GroupParams, w: str, start: int, h: int) -> list[int]:
+    """``trace``'s reader: the t signs of w, once w, h and start are checked,
+    in that order."""
     labels = check_traceable(p, w)
     if h < 1:
         raise NotANodeError(f"h must be positive, got {h}")
     if start < 1:
         raise NotANodeError(f"node value must be positive, got {start}")
-    return _fold(p, labels, start, h) if labels else math.lcm(start, h)
+    return labels
 
 
 def _walk(signs, k: int = 1) -> tuple[int, int, int]:

@@ -7,12 +7,15 @@ With l = lcm(|m|, |n|) and rho the t-exponent sum of a word, the scale is
 here is a closed form in (m, n, rho).  The asymptotic index sequence
 (moller_sequence) recomputes the scale along conjugation powers through
 the intersection graph and serves as an independent verification route.
+Orbit orders and Möller indices are each a reader of the word's t signs
+(``_coset_labels``, ``_normalized``) followed by ``graph._fold``, the one
+fold of ``step``.
 """
 
 from __future__ import annotations
 
 from .errors import BudgetError
-from .graph import _strip, step
+from .graph import _fold, _strip
 from .params import GroupParams, Record
 from .words import (
     _read_free_syllables,
@@ -134,14 +137,12 @@ def _normalized(p: GroupParams, w: str) -> tuple[int, list[int]]:
 
 def _indices(p: GroupParams, rho: int, signs: list[int], k_max: int) -> tuple[list[int], bool]:
     """``moller_stabilization`` from ``_normalized``: r_k is the trace of
-    z^k, and each ratio is checked against the scale at rho.  No signs
-    fold to 1s, the scale of a discrete group."""
+    z^k, folded on from r_(k-1), and each ratio is checked against the
+    scale at rho.  No signs fold to 1s, the scale of a discrete group."""
     target = _scale_at(p, rho).value
-    seq = []
-    x = 1
+    x, seq = 1, []
     for _ in range(k_max):
-        for eps in signs:
-            x = step(p, x, eps)
+        x = _fold(p, signs, x, 1)
         seq.append(x)
     ok = all(b == a * target for a, b in zip(seq, seq[1:]))
     return seq, ok
@@ -155,11 +156,13 @@ def orbit_order(p: GroupParams, w: str) -> int:
     is the trace of the reversed, sign-flipped t letters of the reduced
     word, starting from 1.
     """
-    _, signs = _reduced_syllables(p, w)
-    x = 1
-    for s in reversed(signs):
-        x = step(p, x, -s)
-    return x
+    return _fold(p, _coset_labels(p, w), 1, 1)
+
+
+def _coset_labels(p: GroupParams, w: str) -> list[int]:
+    """``orbit_order``'s reader: the t signs of the reduced w^-1, which are
+    those of the reduced w reversed and sign-flipped."""
+    return [-s for s in reversed(_reduced_syllables(p, w)[1])]
 
 
 def orbit_order_factorization(

@@ -129,6 +129,10 @@ EXIT_CASES = [
     ("--group 2,3 moller --kmax 2 t^7143", 3),
     ("--group 2,3 trace --h 2 t^14284", 0),
     ("--group 2,3 trace --h 2 t^14285", 3),
+    # moller's steps, kmax times the t letters of z, meet the budget too
+    ('--group 7,-4 moller --kmax 2000 "t^3000 a^2 T^3000 a"', 3),
+    ("--group 2,3 --budget 10 moller --kmax 5 t^2", 0),
+    ("--group 2,3 --budget 9 moller --kmax 5 t^2", 3),
 ]
 
 
@@ -510,7 +514,7 @@ class TestExitCodes:
 
         for name in ("nodes_through", "to_dot", "moller_stabilization"):
             monkeypatch.setattr(bsscale, name, refuse)
-        monkeypatch.setattr(invariants, "_indices", refuse)  # moller sizes z from _normalized
+        monkeypatch.setattr(graph, "step", refuse)  # moller sizes z from _normalized
         monkeypatch.chdir(tmp_path)
         code, out, err = invoke(["--output", "json"] + argv)
         assert (code, out, err) == (3, "", f"domain error: {message}\n")
@@ -531,7 +535,6 @@ class TestExitCodes:
             raise AssertionError("a step ran before the answer was sized")
 
         monkeypatch.setattr(graph, "step", refuse)
-        monkeypatch.setattr(invariants, "step", refuse)
         code, out, err = invoke(["--group", "2,3"] + argv)
         assert (code, out) == (3, "")
         assert err == f"domain error: answer has more than {sys.get_int_max_str_digits()} digits\n"
@@ -558,13 +561,27 @@ class TestExitCodes:
 
         for name in ("scale", "moller_stabilization", "step"):
             monkeypatch.setattr(bsscale, name, refuse)
-        for name in ("_normalized", "_indices"):
-            monkeypatch.setattr(invariants, name, refuse)
         monkeypatch.setattr(graph, "step", refuse)
-        argv = ["--group", "2,3", "--budget", "5", "moller", "--kmax", "6", "t"]
-        code, out, err = invoke(argv)
-        assert (code, out) == (3, "")
-        assert err == "domain error: kmax 6 asks for more indices than the budget 5\n"
+        cases = [
+            (
+                ["--group", "2,3", "--budget", "5", "moller", "--kmax", "6", "t"],
+                ("_normalized", "_indices"),
+                "kmax 6 asks for more indices than the budget 5",
+            ),
+            # the step count, kmax times the t letters of z, needs z's signs
+            (
+                ["--group", "7,-4", "moller", "--kmax", "2000", "t^3000 a^2 T^3000 a"],
+                ("_indices",),
+                "kmax 2000 asks for 12000000 steps, over the budget 200000",
+            ),
+        ]
+        for argv, refused, message in cases:
+            with monkeypatch.context() as patch:
+                for name in refused:
+                    patch.setattr(invariants, name, refuse)
+                code, out, err = invoke(argv)
+            assert (code, out) == (3, "")
+            assert err == f"domain error: {message}\n"
 
     @pytest.mark.parametrize(
         "budget,dmax,expected",
@@ -918,13 +935,28 @@ class TestArgvFuzz:
 _NONZERO = st.sampled_from([*range(-6, 0), *range(1, 7)])
 
 
-class TestMollerRoute:
-    """``moller`` sizes its answer and folds it from one normalization of
-    the word, the one ``moller_stabilization`` makes."""
+_MOLLER_ARGV = ["moller", "--kmax", "2", "t^2000 a T^2000"]
 
-    @pytest.mark.parametrize("group,calls", [("2,3", 1), ("2,2", 0)])
-    def test_word_normalized_once(self, group, calls):
-        code = words_module.conjugacy_normalize_syllables.__code__
+
+class TestNodeRoutes:
+    """``moller``, ``orbit`` and ``trace`` each read their word once, size
+    the answer from the t signs read, and fold the same signs, by the two
+    halves the library's ``moller_stabilization``, ``orbit_order`` and
+    ``trace`` are made of."""
+
+    @pytest.mark.parametrize(
+        "group,argv,reader,calls",
+        [
+            ("2,3", _MOLLER_ARGV, "conjugacy_normalize_syllables", 1),
+            ("2,2", _MOLLER_ARGV, "conjugacy_normalize_syllables", 0),
+            # a pinch cascade: each reduction takes most of a second
+            ("1,3", ["orbit", "t^40000 a T^40000"], "reduce_syllables", 1),
+            ("2,3", ["trace", "t a T a " * 1000], "check_traceable", 1),
+        ],
+        ids=["moller-2,3", "moller-2,2", "orbit-1,3", "trace-2,3"],
+    )
+    def test_word_read_once(self, group, argv, reader, calls):
+        code = getattr(words_module, reader).__code__
         seen = []
 
         def profile(frame, event, arg):
@@ -934,22 +966,39 @@ class TestMollerRoute:
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            result = invoke(["--group", group, "moller", "--kmax", "2", "t^2000 a T^2000"])
+            result = invoke(["--group", group] + argv)
         finally:
             sys.setprofile(previous)
         assert result[0] == 0
         assert len(seen) == calls
 
-    @given(_NONZERO, _NONZERO, _GOOD_WORDS, st.integers(1, 6))
+    @pytest.mark.parametrize("command", ["moller", "orbit", "trace"])
+    @given(_NONZERO, _NONZERO, _GOOD_WORDS, st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=300, deadline=None)
-    def test_json_matches_the_library(self, m, n, word, k):
-        code, out, err = invoke(
-            ["--group", f"{m},{n}", "--output", "json", "moller", "--kmax", str(k), word]
-        )
-        assert (code, err) == (0, "")
+    def test_json_matches_the_library(self, command, m, n, word, k, h):
+        """``k`` is moller's --kmax and trace's --start, ``h`` trace's --h."""
+        options = {
+            "moller": ["--kmax", str(k)],
+            "orbit": [],
+            "trace": ["--start", str(k), "--h", str(h)],
+        }[command]
+        argv = ["--group", f"{m},{n}", "--output", "json", command, *options, word]
+        code, out, err = invoke(argv)
         p, w = GroupParams(m, n), words_module.parse_word(word)
-        seq, stable = invariants.moller_stabilization(p, w, k)
+        if command == "trace":
+            try:
+                expected = graph.trace(p, w, k, h)
+            except WordConditionError as exc:
+                assert (code, out, err) == (3, "", f"domain error: {exc}\n")
+                return
+        assert (code, err) == (0, "")
         payload = json.loads(out)
-        assert payload["indices"] == [str(v) for v in seq]
-        assert payload["stable"] is stable
-        assert payload["scale"] == str(bsscale.scale(p, w).value)
+        if command == "moller":
+            seq, stable = invariants.moller_stabilization(p, w, k)
+            assert payload["indices"] == [str(v) for v in seq]
+            assert payload["stable"] is stable
+            assert payload["scale"] == str(bsscale.scale(p, w).value)
+        elif command == "orbit":
+            assert payload == {"orbit_order": str(invariants.orbit_order(p, w))}
+        else:
+            assert payload == {"trace": str(expected)}
