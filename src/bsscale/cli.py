@@ -23,12 +23,12 @@ import bsscale
 from .errors import BudgetError, DomainError, ParseError
 from .params import DEFAULT_BUDGET, GroupParams
 from .words import (
+    _read_syllables,
     equal_elements,
     format_syllables,
     parse_word,
     reduce_syllables,
     t_exponent,
-    word_syllables,
 )
 
 _USAGE_EXIT = 1
@@ -247,7 +247,7 @@ def _command(name: str, *arguments, notice: bool = False, group: bool = True):
 
 @_command("reduce", _arg("word"))
 def _reduce(p, args):
-    word = format_syllables(*reduce_syllables(p, *word_syllables(parse_word(args.word))))
+    word = format_syllables(*reduce_syllables(p, *_read_syllables(parse_word(args.word))))
     return word or "e", {"word": word}
 
 
@@ -307,7 +307,7 @@ def _moller(p, args):
     if steps > args.budget:
         raise BudgetError(f"kmax {args.kmax} asks for {steps} steps, over the budget {args.budget}")
     seq, stable = invariants._indices(p, rho, signs, args.kmax)
-    target = bsscale.scale(p, word).value
+    target = invariants._scale_at(p, rho).value
     ratio = str(seq[-1] // seq[-2]) if len(seq) > 1 and seq[-1] % seq[-2] == 0 else "?"
     verdict = "OK" if stable else "DIAG ratios not stabilized at bound"
     return f"{' '.join(str(v) for v in seq)} | ratio {ratio} | scale {target} {verdict}", {

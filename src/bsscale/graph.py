@@ -31,7 +31,7 @@ from itertools import accumulate
 
 from .errors import DomainError, InvariantError, NoPathError, NotANodeError
 from .params import GroupParams, Record
-from .words import check_traceable, word_syllables
+from .words import _read_syllables, check_traceable
 
 ROOT = "root"
 LEFT_RAY = "left_ray"
@@ -217,7 +217,7 @@ def trace_geometry(p: GroupParams, w: str, R: int) -> TraceGeometry:
             "trace_geometry needs the structured graph; "
             "not defined when one parameter divides the other"
         )
-    labels = word_syllables(w)[1]
+    labels = _read_syllables(w)[1]
     t_neg = sum(1 for e in labels if e < 0)
     if R <= t_neg:
         raise DomainError(
@@ -225,7 +225,7 @@ def trace_geometry(p: GroupParams, w: str, R: int) -> TraceGeometry:
         )
     rho, _, t_max = _walk(labels)
     mu = rho - t_max
-    end = classify_node(p, _fold(p, [1] * R + labels, 1, 1))
+    end = classify_node(p, _fold(p, [1] * R + list(labels), 1, 1))
     if end.level != R + t_max or end.dist_left != -mu:
         raise InvariantError(
             f"trace endpoint {end} off the predicted position "

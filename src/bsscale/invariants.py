@@ -18,7 +18,7 @@ from .errors import BudgetError
 from .graph import _fold, _strip
 from .params import GroupParams, Record
 from .words import (
-    _read_free_syllables,
+    _read_syllables,
     _reduced_syllables,
     conjugacy_normalize_syllables,
     t_exponent,
@@ -131,7 +131,7 @@ def _normalized(p: GroupParams, w: str) -> tuple[int, list[int]]:
     and the t letters of its conjugacy normalization z, which is never
     written.  The word is read once; cutting its t pairs keeps its
     t-exponent.  A discrete group normalizes nothing: its z has no t."""
-    exps, signs = _read_free_syllables(w)  # the ParseError for a bad letter comes here
+    exps, signs = _read_syllables(w, free=True)  # the ParseError for a bad letter comes here
     return sum(signs), [] if p.discrete else conjugacy_normalize_syllables(p, exps, signs)[1]
 
 

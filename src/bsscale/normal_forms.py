@@ -22,7 +22,7 @@ from .errors import DomainError, InvariantError
 from .params import GroupParams, Record
 from .words import (
     Word,
-    _read_free_syllables,
+    _read_syllables,
     _reduced_syllables,
     syllables_to_word,
 )
@@ -96,15 +96,15 @@ def _bs1n_walk(p: GroupParams, w: str) -> tuple[int, int, int]:
     a^x T = T a^(x m n): a T letter first cancels a pending t, and only
     past them grows neg, scaling q by mn.  Both oracles read an image or
     the unique form of the element, which no free pair changes, so a plain
-    string is read with its free t pairs cut out (``_read_free_syllables``),
-    and an empty a run costs no power: for ``T^N a t^N`` the loop takes
-    one power, not N.  No reduction of the word is used, so both stay
-    independent checks of it.
+    string is read with its free t pairs cut out (``_read_syllables`` with
+    ``free=True``), and an empty a run costs no power: for ``T^N a t^N``
+    the loop takes one power, not N.  No reduction of the word is used, so
+    both stay independent checks of it.
     """
     if abs(p.m) != 1:
         raise DomainError(f"operation requires |m| = 1, got m = {p.m}")
     mn = p.m * p.n
-    exps, signs = _read_free_syllables(w)
+    exps, signs = _read_syllables(w, free=True)
     neg, q, pos = 0, exps[0], 0
     for s, e in zip(signs, exps[1:]):
         if s > 0:

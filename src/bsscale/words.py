@@ -19,9 +19,9 @@ run's exponent from a table of short runs (no Python step per letter or
 per t letter, and one for an a run only when it is long and new).  A
 word built by this module is therefore never decoded again; the price
 is one extra copy of its letters, made when the ``Word`` is built.
-Functions that only read the syllables take a ``Word``'s stored tuples
-in place (``_read_syllables``); ``word_syllables`` gives fresh lists
-that the caller owns.
+``_read_syllables`` is the one reader of a word: it gives a ``Word``'s
+stored tuples in place, for callers that only read them, or decodes any
+other string; ``word_syllables`` gives fresh lists that the caller owns.
 
 Token text is read and written at about one Python step per token.
 ``_build`` is the one loop that turns tokens into letters and syllables:
@@ -29,9 +29,9 @@ Token text is read and written at about one Python step per token.
 same text with a space put before every letter.  Every spelling of one t
 letter, and of an a power with |e| up to 16, is one lookup in a table
 built at import (``_TOKENS``); any other exponent is left to ``int``.
-Only a text that fails is walked character by character, by
-``_parse_chars``, which builds nothing and gives the first error its
-offset.
+Only a text that fails is scanned again, token by token with one regex
+(``_TOKEN_GRAMMAR``), by ``_raise_first_error``, which builds nothing and
+gives the first error its offset.
 ``format_syllables`` writes the a tokens in one comprehension and each t
 run inline.  The letters of a parsed ``Word`` are still written out, by
 string repetition at C speed.
@@ -40,7 +40,8 @@ Free reduction starts in the decoder for the callers that begin with it
 (``free_reduce``, conjugacy normalization and so ``moller``) and for the
 BS(1, n) oracles in ``normal_forms``, whose answers no free pair changes:
 their plain strings lose every ``tT`` and ``Tt`` at C speed before the
-split (``_read_free_syllables``), and the syllable loop finishes the job.
+split (``_read_syllables(w, free=True)``), and the syllable loop finishes
+the job.
 Britton reduction is not confluent, and cutting the pairs first changes
 its result on some words, so it decodes every letter.
 
@@ -95,6 +96,10 @@ def _token_table() -> dict[str, tuple[str, int, int]]:
 _TOKENS = _token_table()
 _EXPONENT_END = re.compile("(?<=[0-9])(?=[^0-9])")  # the end of each run of digits
 _SHORT_A = ("", "a", "A")  # the a token of an exponent in {0, 1, -1}, by index
+# one token of word text, after any whitespace: a letter, its optional ^,
+# sign and digits, or else the bad character; compiled (and cached by
+# ``re``) only when a text fails
+_TOKEN_GRAMMAR = rf"\s*(?:([{_LETTERS}])(?:\^([+-]?)([{_DIGITS}]*))?|(\S))"
 
 
 class Word(str):
@@ -165,9 +170,9 @@ def parse_word(text: str) -> Word:
     character that no token may hold (non-ASCII, and ``_``, which ``int``
     reads between digits), so its tokens are those of the text, good or
     bad.  A text that fails is split once more after each run of digits,
-    so that an exponent glued to a bad character is expanded first, as the
-    character loop read it, and then ``_parse_chars`` gives the first error
-    its offset.
+    so that an exponent glued to a bad character is expanded first, as
+    ``_TOKEN_GRAMMAR`` reads it, and then ``_raise_first_error`` gives the
+    first error its offset.
     """
     plain = text if text.isascii() else " ".join(text.split()).encode("ascii", "replace").decode()
     plain = plain.replace("_", "?")
@@ -185,9 +190,9 @@ def parse_word(text: str) -> Word:
             pass
         _build(_EXPONENT_END.sub(" ", spaced).split())  # raises: the text is bad
     except ValueError:
-        _parse_chars(text)
+        _raise_first_error(text)
     except OverflowError as exc:
-        _parse_chars(text, *exc.args)
+        _raise_first_error(text, *exc.args)
 
 
 def _build(tokens: list[str]) -> Word:
@@ -249,39 +254,27 @@ def _build(tokens: list[str]) -> Word:
     return Word(letters, exps, signs)
 
 
-def _parse_chars(text: str, too_large: int = -1, exp: int = 0):
+def _raise_first_error(text: str, too_large: int = -1, exp: int = 0):
     """Raise the ParseError of the first bad token of text, which
-    ``_build`` could not read, from a walk over its characters that builds
-    nothing.  Token number ``too_large`` (from 0), if any, has the
-    exponent exp, which ``_build`` could not expand into letters."""
-    k = i = 0
-    ln = len(text)
-    while i < ln:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch not in _LETTERS:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        tok = i
-        i += 1
-        if i < ln and text[i] == "^":
-            i += 1
-            start = i
-            if i < ln and text[i] in "+-":
-                i += 1
-            if i >= ln or text[i] not in _DIGITS:
-                raise ParseError("expected integer after '^'", start)
-            while i < ln and text[i] in _DIGITS:
-                i += 1
+    ``_build`` could not read, from a scan of its tokens by
+    ``_TOKEN_GRAMMAR`` that builds nothing.  Token number ``too_large``
+    (from 0), if any, has the exponent exp, which ``_build`` could not
+    expand into letters."""
+    for k, tok in enumerate(re.finditer(_TOKEN_GRAMMAR, text)):
+        _, sign, digits, bad = tok.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", tok.start(4))
+        if sign is not None:  # the letter has a ^
+            if not digits:
+                raise ParseError("expected integer after '^'", tok.start(2))
             try:
-                int(text[start:i])
+                int(digits)
             except ValueError:  # past Python's int/str digit limit
-                digits = len(text[start:i].lstrip("+-"))
-                raise ParseError(f"exponent of {digits} digits too large to expand", tok) from None
+                raise ParseError(
+                    f"exponent of {len(digits)} digits too large to expand", tok.start(1)
+                ) from None
         if k == too_large:
-            raise ParseError(f"exponent {exp} too large to expand", tok)
-        k += 1
+            raise ParseError(f"exponent {exp} too large to expand", tok.start(1))
     raise InvariantError(f"{text!r} has no bad token")
 
 
@@ -291,7 +284,9 @@ def format_word(w: str) -> str:
     (``TT`` becomes ``t^-2``).  The empty word prints as the empty string.
     """
     exps, signs = _read_syllables(w)
-    if _mixes_a_and_A(w, exps, signs):  # one token per maximal letter run
+    # some a run mixes a and A letters, which cancel in its exponent:
+    # one token per maximal letter run
+    if sum(map(abs, exps)) + len(signs) < len(w):
         return " ".join(
             run if len(run) == 1
             else f"{run[0].lower()}^{len(run) if run[0] in 'at' else -len(run)}"
@@ -320,22 +315,18 @@ def format_syllables(exps: list[int], signs: list[int]) -> str:
     return " ".join(filter(None, tokens))
 
 
-def _mixes_a_and_A(w: str, exps: list[int], signs: list[int]) -> bool:
-    """True iff some a run of w holds both a and A letters: they cancel in
-    its exponent, so w has more letters than sum |e| + #t."""
-    return sum(map(abs, exps)) + len(signs) < len(w)
-
-
 _LETTER_RUNS = re.compile("a+|A+|t+|T+")
 
 
 def free_reduce(w: str) -> Word:
     """Remove adjacent inverse pairs until none remain (free group
     reduction over {a, t}).  Idempotent."""
-    return syllables_to_word(*free_reduce_syllables(*_read_free_syllables(w)))
+    return syllables_to_word(*free_reduce_syllables(*_read_syllables(w, free=True)))
 
 
 def is_freely_reduced(w: str) -> bool:
+    """True iff no letter of w stands next to its inverse: four substring
+    searches at C speed, whose cost grows with the letters."""
     return not ("aA" in w or "Aa" in w or "tT" in w or "Tt" in w)
 
 
@@ -360,25 +351,21 @@ def word_syllables(w: str) -> tuple[list[int], list[int]]:
     return _decode_letters(w)
 
 
-def _read_syllables(w: str):
-    """``word_syllables`` for a caller that only reads them: a ``Word``'s
-    stored tuples, not copied, or the decoding of any other string."""
+def _read_syllables(w: str, free: bool = False):
+    """``word_syllables`` for a caller that only reads them, and the one
+    reader of a word: a ``Word``'s stored tuples, not copied, or the
+    decoding of any other string.
+
+    ``free`` is for a caller that begins with a complete free reduction,
+    or whose answer no free pair changes: a plain string is then decoded
+    with every ``tT`` and ``Tt`` cut out once after its letters are
+    checked.  Free reduction is confluent, so the freely reduced syllables
+    are the same, and the ``bs1n_*`` oracles compute an image or a unique
+    form of the element.  Britton reduction does not begin with one, so it
+    reads every letter."""
     if isinstance(w, Word):
         return w._exps, w._signs
-    return _decode_letters(w)
-
-
-def _read_free_syllables(w: str):
-    """``_read_syllables`` for a caller that begins with a complete free
-    reduction, or whose answer no free pair changes: a plain string is
-    decoded with every ``tT`` and ``Tt`` cut out once after its letters
-    are checked.  Free reduction is confluent, so the freely reduced
-    syllables are the same, and the ``bs1n_*`` oracles compute an image or
-    a unique form of the element.  Britton reduction does not begin with
-    one, so it uses ``_read_syllables``."""
-    if isinstance(w, Word):
-        return w._exps, w._signs
-    return _decode_letters(w, drop_t_pairs=True)
+    return _decode_letters(w, free)
 
 
 class _RunExponents(dict):
@@ -402,12 +389,12 @@ class _RunExponents(dict):
 _RUN_EXPONENTS = _RunExponents()
 
 
-def _decode_letters(w: str, drop_t_pairs: bool = False) -> tuple[list[int], list[int]]:
+def _decode_letters(w: str, free: bool = False) -> tuple[list[int], list[int]]:
     """The letter decoder: bytes methods on the ASCII encoding of w do the
     work per syllable.  One copy with every T made t is split at the t
     letters, and each a run's exponent is looked up in ``_RUN_EXPONENTS``;
-    the t letters become the signed bytes 1 and -1.  With
-    ``drop_t_pairs`` every ``tT`` and ``Tt`` is cut out once first."""
+    the t letters become the signed bytes 1 and -1.  With ``free`` every
+    ``tT`` and ``Tt`` is cut out once first."""
     try:
         b = w.encode("ascii")
     except UnicodeEncodeError:
@@ -416,7 +403,7 @@ def _decode_letters(w: str, drop_t_pairs: bool = False) -> tuple[list[int], list
     if t_letters.translate(None, b"tT"):
         bad = len(w) - len(w.lstrip("aAtT"))
         raise ParseError(f"invalid letter {w[bad]!r}", bad)
-    if drop_t_pairs:
+    if free:
         cut = b.replace(b"tT", b"").replace(b"Tt", b"")
         if len(cut) < len(b):
             b, t_letters = cut, cut.translate(None, b"aA")
@@ -513,20 +500,16 @@ def check_traceable(p: GroupParams, w: str) -> list[int]:
     """Raise unless w is freely reduced and pinch-free; return the signs of
     its t letters.
 
-    Both tests read syllables only: w is freely reduced iff no a run mixes
-    a and A letters and no t^s a^0 t^-s occurs.  A ``britton_reduce``
-    answer, whose record in p's group is its own syllables, passes at once.
+    The syllables are read first, so a bad letter raises ParseError; then
+    ``is_freely_reduced`` searches the letters and the pinch test reads the
+    syllables.  A ``britton_reduce`` answer, whose record in p's group is
+    its own syllables, passes at once.
     """
-    if isinstance(w, Word):
-        exps, signs = w._exps, w._signs
-        rec = w._reduced and _record(p, w)
-        if rec is not None and rec[0] is exps:
-            return list(signs)
-    else:
-        exps, signs = _decode_letters(w)
-    if _mixes_a_and_A(w, exps, signs) or not all(
-        e or s == u for s, e, u in zip(signs, exps[1:], signs[1:])
-    ):
+    exps, signs = _read_syllables(w)
+    rec = _record(p, w)
+    if rec is not None and rec[0] is exps:
+        return list(signs)
+    if not is_freely_reduced(w):
         raise WordConditionError(f"word {format_word(w)!r} is not freely reduced")
     if not syllables_pinch_free(p, exps, signs):
         raise WordConditionError(f"word {format_word(w)!r} contains a pinch")
@@ -565,9 +548,7 @@ def _reduced_syllables(p: GroupParams, w: str):
     """``reduce_syllables`` of w's syllables, for a caller that only reads
     them: w's record in p's group, or else a fresh reduction, which is not
     recorded."""
-    if isinstance(w, Word):
-        return w._reduced and _record(p, w) or reduce_syllables(p, w._exps, w._signs)
-    return reduce_syllables(p, *_decode_letters(w))
+    return _record(p, w) or reduce_syllables(p, *_read_syllables(w))
 
 
 def as_power_of_a(p: GroupParams, w: str) -> int | None:
@@ -608,7 +589,7 @@ def conjugacy_normalize_with_certificate(
     pinch-free, so every positive power of z is freely reduced and pinch-free.
     See ``conjugacy_normalize_syllables``.  Raises DomainError when h is too
     large to write as letters; that function returns it as pieces."""
-    exps, signs, h = conjugacy_normalize_syllables(p, *_read_free_syllables(w))
+    exps, signs, h = conjugacy_normalize_syllables(p, *_read_syllables(w, free=True))
     try:
         h_letters = "".join(
             ("a" * c if c >= 0 else "A" * -c) + ("t" if s > 0 else "T" if s else "")
@@ -642,7 +623,8 @@ def conjugacy_normalize_syllables(
     indices depend on the t signs of z.
 
     Free reduction is completed once up front; for a plain string
-    ``_read_free_syllables`` has already cut out its adjacent t pairs.
+    ``_read_syllables(w, free=True)`` has already cut out its adjacent t
+    pairs.
     Later, a free pair can only appear where a pinch left an empty a run
     between opposite t letters, and that pair is the leftmost pinch
     (c = 0).  The moves then run in one left-to-right pass, each syllable
@@ -728,5 +710,5 @@ def conjugacy_normalize_syllables(
 def conjugacy_normalize(p: GroupParams, w: str) -> Word:
     """Conjugate w to a word z whose square (hence every positive power) is
     freely reduced and pinch-free.  The conjugator is not written out."""
-    exps, signs, _ = conjugacy_normalize_syllables(p, *_read_free_syllables(w))
+    exps, signs, _ = conjugacy_normalize_syllables(p, *_read_syllables(w, free=True))
     return syllables_to_word(exps, signs)

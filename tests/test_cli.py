@@ -949,11 +949,13 @@ class TestNodeRoutes:
         [
             ("2,3", _MOLLER_ARGV, "conjugacy_normalize_syllables", 1),
             ("2,2", _MOLLER_ARGV, "conjugacy_normalize_syllables", 0),
+            # the scale comes from the rho that _normalized read
+            ("2,3", _MOLLER_ARGV, "t_exponent", 0),
             # a pinch cascade: each reduction takes most of a second
             ("1,3", ["orbit", "t^40000 a T^40000"], "reduce_syllables", 1),
             ("2,3", ["trace", "t a T a " * 1000], "check_traceable", 1),
         ],
-        ids=["moller-2,3", "moller-2,2", "orbit-1,3", "trace-2,3"],
+        ids=["moller-2,3", "moller-2,2", "moller-rho-2,3", "orbit-1,3", "trace-2,3"],
     )
     def test_word_read_once(self, group, argv, reader, calls):
         code = getattr(words_module, reader).__code__

@@ -48,7 +48,6 @@ TEXTS = ["t a T a^3 t", "a^5 t a T^2 a", "T a^2 t a t^2 A", "a^4 T a^-6 t"]
 # the constants of GroupParams.
 BASE = {
     "words._read_syllables",
-    "words._read_free_syllables",
     "words.reduce_syllables",
     "params.l_over_m",
     "params.l_over_n",

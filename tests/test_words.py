@@ -683,6 +683,14 @@ class TestParsePaths:
     @example("t^" + "1" * 30 + "_")
     @example("a t^+" + "1" * 30 + "\u00e4 b")
     @example("t^0 T^-0 a^" + "1" * 30)  # after t tokens of no letters
+    @example("a ^2")
+    @example("a^")
+    @example("^")
+    @example("a^+ 3")
+    @example("t^-")
+    @example("t\x1c^2")  # a whitespace character that str.split takes
+    # an exponent too large to expand, Unicode whitespace, a bad character
+    @example("a^" + "1" * 30 + "\u3000x")
     def test_same_as_the_character_loop(self, text):
         want = _parse_outcome(character_loop, text)
         assert _parse_outcome(parse_word, text) == want
@@ -705,7 +713,7 @@ class TestParsePaths:
         tracemalloc.start()
         try:
             with pytest.raises(ParseError) as exc:
-                words_module._parse_chars("a^100000000 t^100000 x")
+                words_module._raise_first_error("a^100000000 t^100000 x")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -739,12 +747,12 @@ def _parse_outcome_without_the_walk(text):
     def refuse(*args):
         raise AssertionError("text reached the error walk")
 
-    original = words_module._parse_chars
-    words_module._parse_chars = refuse
+    original = words_module._raise_first_error
+    words_module._raise_first_error = refuse
     try:
         return _parse_outcome(parse_word, text)
     finally:
-        words_module._parse_chars = original
+        words_module._raise_first_error = original
 
 
 # ---------------------------------------------------------------------------
