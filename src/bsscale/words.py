@@ -324,10 +324,16 @@ def free_reduce(w: str) -> Word:
     return syllables_to_word(*free_reduce_syllables(*_read_syllables(w, free=True)))
 
 
-def is_freely_reduced(w: str) -> bool:
+def is_freely_reduced(w: str, exps: list | None = None, signs: list | None = None) -> bool:
     """True iff no letter of w stands next to its inverse: four substring
-    searches at C speed, whose cost grows with the letters."""
-    return not ("aA" in w or "Aa" in w or "tT" in w or "Tt" in w)
+    searches over the letters, or, given w's syllables exps and signs, a
+    test whose cost grows with the syllables: no a run mixes a and A
+    letters (they cancel in its exponent, leaving more letters than
+    sum |e| + #t) and no t^s a^0 t^-s occurs."""
+    if exps is None:
+        return not ("aA" in w or "Aa" in w or "tT" in w or "Tt" in w)
+    return sum(map(abs, exps)) + len(signs) == len(w) and all(
+        e or s == u for s, e, u in zip(signs, exps[1:], signs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -492,24 +498,23 @@ def syllables_pinch_free(p: GroupParams, exps: list[int], signs: list[int]) -> b
 
 
 def is_pinch_free(p: GroupParams, w: str) -> bool:
-    exps, signs = _read_syllables(w)
-    return syllables_pinch_free(p, exps, signs)
+    return syllables_pinch_free(p, *_read_syllables(w))
 
 
 def check_traceable(p: GroupParams, w: str) -> list[int]:
     """Raise unless w is freely reduced and pinch-free; return the signs of
     its t letters.
 
-    The syllables are read first, so a bad letter raises ParseError; then
-    ``is_freely_reduced`` searches the letters and the pinch test reads the
-    syllables.  A ``britton_reduce`` answer, whose record in p's group is
-    its own syllables, passes at once.
+    The syllables are read first, so a bad letter raises ParseError; both
+    tests then read them, so the cost follows the syllables, not the
+    letters.  A ``britton_reduce`` answer, whose record in p's group is its
+    own syllables, passes at once.
     """
     exps, signs = _read_syllables(w)
     rec = _record(p, w)
     if rec is not None and rec[0] is exps:
         return list(signs)
-    if not is_freely_reduced(w):
+    if not is_freely_reduced(w, exps, signs):
         raise WordConditionError(f"word {format_word(w)!r} is not freely reduced")
     if not syllables_pinch_free(p, exps, signs):
         raise WordConditionError(f"word {format_word(w)!r} contains a pinch")

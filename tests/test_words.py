@@ -471,6 +471,22 @@ class TestSyllableConsumers:
                 assert reduced and is_pinch_free(p, w)
                 assert signs == word_syllables(w)[1]
 
+    def test_check_traceable_reads_syllables_not_letters(self):
+        class Probe(Word):  # a Word that counts the letter searches on it
+            __slots__ = ()
+            searches = 0
+
+            def __contains__(self, sub):
+                Probe.searches += 1
+                return super().__contains__(sub)
+
+        n = 10**6  # long a runs: a letter search would pay for each letter
+        assert check_traceable(P23, Probe("a" * n + "t" + "a" * n, (n, n), (1,))) == [1]
+        for bad in (Probe("aAt", (0, 0), (1,)), Probe("tT", (0, 0, 0), (1, -1))):
+            with pytest.raises(WordConditionError, match="not freely reduced"):
+                check_traceable(P23, bad)
+        assert Probe.searches == 0
+
     @given(groups, words, words)
     @settings(max_examples=200)
     def test_equal_elements(self, p, w, u):

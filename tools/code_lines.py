@@ -1,44 +1,29 @@
-"""Print the code lines of each module of a package and their total.
+"""Print the code lines of each src/bsscale module and their total.
 
-    python tools/code_lines.py [PACKAGE_DIR]
+    python tools/code_lines.py
 
-PACKAGE_DIR defaults to this checkout's ``src/bsscale``.  A code line
-holds a token other than a comment or a docstring (a string that is a
-whole statement); blank lines and lines inside docstrings do not count.
+Run it from the root of a checkout.  A code line holds a token other than
+a comment or a docstring (a string that is a whole statement); blank lines
+and lines inside docstrings do not count.
 """
 
 import pathlib
-import sys
 import tokenize
 
-_LAYOUT = {tokenize.ENCODING, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
-           tokenize.ENDMARKER}
-
-
-def code_lines(path: pathlib.Path) -> int:
+layout = {tokenize.ENCODING, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENDMARKER}
+total = 0
+for path in sorted(pathlib.Path("src/bsscale").glob("*.py")):
     with path.open("rb") as fh:
         toks = [t for t in tokenize.tokenize(fh.readline)
                 if t.type not in (tokenize.COMMENT, tokenize.NL)]
     lines = set()
     for prev, tok, nxt in zip(toks, toks[1:], toks[2:]):
-        if tok.type in _LAYOUT:
+        if tok.type in layout:
             continue
-        if tok.type == tokenize.STRING and prev.type in _LAYOUT and nxt.type == tokenize.NEWLINE:
+        if tok.type == tokenize.STRING and prev.type in layout and nxt.type == tokenize.NEWLINE:
             continue  # a docstring
         lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines)
-
-
-def main(argv: list[str]) -> None:
-    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "bsscale"
-    package = pathlib.Path(argv[0]) if argv else root
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        count = code_lines(path)
-        print(f"{count:6d} {path.name}")
-        total += count
-    print(f"{total:6d} total")
-
-
-if __name__ == "__main__":
-    main(sys.argv[1:])
+    print(f"{len(lines):6d} {path.name}")
+    total += len(lines)
+print(f"{total:6d} total")
