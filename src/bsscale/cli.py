@@ -163,8 +163,9 @@ def _check_digits(base: int, exponent: int) -> None:
     """Raise run()'s digit-limit ValueError when base^exponent has more
     digits than Python's int/str limit, before an answer holding it is
     computed.  base^e has more than 4 limit bits, so more than limit
-    digits, once e (bit_length - 1) > 4 limit: no larger power is formed."""
-    limit = sys.get_int_max_str_digits()
+    digits, once e (bit_length - 1) > 4 limit: no larger power is formed.
+    Interpreters before 3.10.7 have no limit, read as 0."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if base > 1 and limit:
         str(base ** min(exponent, 4 * limit // (base.bit_length() - 1) + 1))
 

@@ -24,14 +24,18 @@ stored tuples in place, for callers that only read them, or decodes any
 other string; ``word_syllables`` gives fresh lists that the caller owns.
 
 Token text is read and written at about one Python step per token.
-``_build`` is the one loop that turns tokens into letters and syllables:
-``parse_word`` gives it the tokens of ``str.split``, and glued text the
-same text with a space put before every letter.  Every spelling of one t
-letter, and of an a power with |e| up to 16, is one lookup in a table
-built at import (``_TOKENS``); any other exponent is left to ``int``.
-Only a text that fails is scanned again, token by token with one regex
-(``_TOKEN_GRAMMAR``), by ``_raise_first_error``, which builds nothing and
-gives the first error its offset.
+``_build`` is the one loop that turns tokens into letters and syllables.
+The token grammar is one pattern, ``_TOKEN``: a letter with its optional
+``^``, sign and ASCII digits, or else one bad character.  ``parse_word``
+gives ``_build`` the tokens of ``str.split`` for ASCII text without
+``_``, where ``int`` reads exactly the grammar's exponents, and glued
+text the same text with a space put before every letter; every other
+text, and every text those splits cannot read, is tokenized by
+``_TOKEN``.  Every spelling of one t letter, and of an a power with |e|
+up to 16, is one lookup in a table built at import (``_TOKENS``); any
+other exponent is left to ``int``.  Only a text that fails is scanned
+again, by ``_raise_first_error``, with the same pattern: it builds nothing
+and gives the first error its offset.
 ``format_syllables`` writes the a tokens in one comprehension and each t
 run inline.  The letters of a parsed ``Word`` are still written out, by
 string repetition at C speed.
@@ -94,12 +98,11 @@ def _token_table() -> dict[str, tuple[str, int, int]]:
 
 
 _TOKENS = _token_table()
-_EXPONENT_END = re.compile("(?<=[0-9])(?=[^0-9])")  # the end of each run of digits
 _SHORT_A = ("", "a", "A")  # the a token of an exponent in {0, 1, -1}, by index
-# one token of word text, after any whitespace: a letter, its optional ^,
-# sign and digits, or else the bad character; compiled (and cached by
-# ``re``) only when a text fails
-_TOKEN_GRAMMAR = rf"\s*(?:([{_LETTERS}])(?:\^([+-]?)([{_DIGITS}]*))?|(\S))"
+# one token of word text: a letter, its optional ^, sign and digits, or
+# else one bad character; compiled (and cached by ``re``) only for the
+# first text that the split paths do not read
+_TOKEN = rf"[{_LETTERS}](?:\^[+-]?[{_DIGITS}]*)?|\S"
 
 
 class Word(str):
@@ -163,32 +166,31 @@ def parse_word(text: str) -> Word:
     Raises ParseError with the character offset of the offending token,
     also for an exponent too large to expand into letters.
 
-    ``_build`` reads the tokens of ``str.split``.  Glued tokens (``aTtA``,
-    ``a^2t T``) split once a space is put before every letter; a text of
-    one token is spaced at once.  Both read the text with Unicode
-    whitespace as spaces, and with ``?``, which no token reads, for every
-    character that no token may hold (non-ASCII, and ``_``, which ``int``
-    reads between digits), so its tokens are those of the text, good or
-    bad.  A text that fails is split once more after each run of digits,
-    so that an exponent glued to a bad character is expanded first, as
-    ``_TOKEN_GRAMMAR`` reads it, and then ``_raise_first_error`` gives the
-    first error its offset.
+    ASCII text without ``_`` is read by two splits: ``_build`` reads the
+    tokens of ``str.split``, and glued tokens (``aTtA``, ``a^2t T``) split
+    once a space is put before every letter; a text of one token is spaced
+    at once.  On such text ``int`` accepts exactly ``[+-]?[0-9]+``, so
+    every token ``_build`` reads is a grammar token.  Every other text, and
+    every text the splits cannot read, goes to ``_build`` as the matches
+    of ``_TOKEN``, so an exponent too large to expand fails at its own
+    token, before any later bad character; a text that fails there is
+    scanned by ``_raise_first_error``, which gives the first error its
+    offset.
     """
-    plain = text if text.isascii() else " ".join(text.split()).encode("ascii", "replace").decode()
-    plain = plain.replace("_", "?")
-    tokens = plain.split()
     try:
-        if len(tokens) > 1:
+        if text.isascii() and "_" not in text:
+            tokens = text.split()
+            if len(tokens) > 1:
+                try:
+                    return _build(tokens)
+                except ValueError:  # glued tokens
+                    pass
+            spaced = text.replace("a", " a").replace("A", " A").replace("t", " t").replace("T", " T")
             try:
-                return _build(tokens)
-            except ValueError:  # glued tokens
+                return _build(spaced.split())
+            except ValueError:
                 pass
-        spaced = plain.replace("a", " a").replace("A", " A").replace("t", " t").replace("T", " T")
-        try:
-            return _build(spaced.split())
-        except ValueError:
-            pass
-        _build(_EXPONENT_END.sub(" ", spaced).split())  # raises: the text is bad
+        return _build(re.findall(_TOKEN, text))
     except ValueError:
         _raise_first_error(text)
     except OverflowError as exc:
@@ -203,9 +205,10 @@ def _build(tokens: list[str]) -> Word:
     Raises ValueError at any other token, and OverflowError(k, e) when
     token k's exponent e is too large to expand into letters.
 
-    A token of ``parse_word`` holds no whitespace, no ``_`` and only ASCII
-    characters, and ``int`` accepts such a string exactly when it is
-    ``[+-]?[0-9]+`` (and within the int/str digit limit).
+    A token of ``parse_word`` holds no whitespace: it is a ``str.split``
+    token of ASCII text without ``_``, which ``int`` accepts exactly when
+    it is ``[+-]?[0-9]+`` (and within the int/str digit limit), or a match
+    of ``_TOKEN``, whose exponent holds ASCII digits only.
     """
     pieces: list[str] = []
     exps: list[int] = []  # the a runs closed by a t letter
@@ -256,25 +259,22 @@ def _build(tokens: list[str]) -> Word:
 
 def _raise_first_error(text: str, too_large: int = -1, exp: int = 0):
     """Raise the ParseError of the first bad token of text, which
-    ``_build`` could not read, from a scan of its tokens by
-    ``_TOKEN_GRAMMAR`` that builds nothing.  Token number ``too_large``
-    (from 0), if any, has the exponent exp, which ``_build`` could not
-    expand into letters."""
-    for k, tok in enumerate(re.finditer(_TOKEN_GRAMMAR, text)):
-        _, sign, digits, bad = tok.groups()
-        if bad is not None:
-            raise ParseError(f"unexpected character {bad!r}", tok.start(4))
-        if sign is not None:  # the letter has a ^
-            if not digits:
-                raise ParseError("expected integer after '^'", tok.start(2))
-            try:
-                int(digits)
-            except ValueError:  # past Python's int/str digit limit
-                raise ParseError(
-                    f"exponent of {len(digits)} digits too large to expand", tok.start(1)
-                ) from None
+    ``_build`` could not read, from a scan of its ``_TOKEN`` matches that
+    builds nothing.  Token number ``too_large`` (from 0), if any, has the
+    exponent exp, which ``_build`` could not expand into letters."""
+    for k, match in enumerate(re.finditer(_TOKEN, text)):
+        tok, at = match[0], match.start()
+        if tok[0] not in _LETTERS:  # a bad character, a lone ^ among them
+            raise ParseError(f"unexpected character {tok!r}", at)
+        digits = tok[2:].lstrip("+-")
+        if len(tok) > 1 and not digits:  # a ^ with no digits
+            raise ParseError("expected integer after '^'", at + 2)
+        try:
+            int(digits or 0)  # a letter without ^ has no digits
+        except ValueError:  # past Python's int/str digit limit
+            raise ParseError(f"exponent of {len(digits)} digits too large to expand", at) from None
         if k == too_large:
-            raise ParseError(f"exponent {exp} too large to expand", tok.start(1))
+            raise ParseError(f"exponent {exp} too large to expand", at)
     raise InvariantError(f"{text!r} has no bad token")
 
 
@@ -324,14 +324,18 @@ def free_reduce(w: str) -> Word:
     return syllables_to_word(*free_reduce_syllables(*_read_syllables(w, free=True)))
 
 
-def is_freely_reduced(w: str, exps: list | None = None, signs: list | None = None) -> bool:
-    """True iff no letter of w stands next to its inverse: four substring
-    searches over the letters, or, given w's syllables exps and signs, a
-    test whose cost grows with the syllables: no a run mixes a and A
-    letters (they cancel in its exponent, leaving more letters than
-    sum |e| + #t) and no t^s a^0 t^-s occurs."""
-    if exps is None:
-        return not ("aA" in w or "Aa" in w or "tT" in w or "Tt" in w)
+def is_freely_reduced(w: str) -> bool:
+    """True iff no letter of w stands next to its inverse, read off w's
+    syllables (see ``_freely_reduced``), so the cost grows with the
+    syllables, not the letters.  Raises ParseError at the first letter
+    outside ``a A t T``."""
+    return _freely_reduced(w, *_read_syllables(w))
+
+
+def _freely_reduced(w: str, exps, signs) -> bool:
+    """``is_freely_reduced`` of w with syllables exps and signs: no a run
+    mixes a and A letters (they cancel in its exponent, leaving more
+    letters than sum |e| + #t) and no t^s a^0 t^-s occurs."""
     return sum(map(abs, exps)) + len(signs) == len(w) and all(
         e or s == u for s, e, u in zip(signs, exps[1:], signs[1:]))
 
@@ -505,16 +509,17 @@ def check_traceable(p: GroupParams, w: str) -> list[int]:
     """Raise unless w is freely reduced and pinch-free; return the signs of
     its t letters.
 
-    The syllables are read first, so a bad letter raises ParseError; both
-    tests then read them, so the cost follows the syllables, not the
-    letters.  A ``britton_reduce`` answer, whose record in p's group is its
-    own syllables, passes at once.
+    The syllables are read first, once, so a bad letter raises ParseError;
+    both tests then read them (``_freely_reduced``, the rule of
+    ``is_freely_reduced``, and ``syllables_pinch_free``), so the cost
+    follows the syllables, not the letters.  A ``britton_reduce`` answer,
+    whose record in p's group is its own syllables, passes at once.
     """
     exps, signs = _read_syllables(w)
     rec = _record(p, w)
     if rec is not None and rec[0] is exps:
         return list(signs)
-    if not is_freely_reduced(w, exps, signs):
+    if not _freely_reduced(w, exps, signs):
         raise WordConditionError(f"word {format_word(w)!r} is not freely reduced")
     if not syllables_pinch_free(p, exps, signs):
         raise WordConditionError(f"word {format_word(w)!r} contains a pinch")

@@ -133,6 +133,11 @@ EXIT_CASES = [
     ('--group 7,-4 moller --kmax 2000 "t^3000 a^2 T^3000 a"', 3),
     ("--group 2,3 --budget 10 moller --kmax 5 t^2", 0),
     ("--group 2,3 --budget 9 moller --kmax 5 t^2", 3),
+    # a line group's ball of radius 5 has 11 vertices: the budget's boundary
+    ("--group 1,1 --budget 10 ball --radius 5", 3),
+    ("--group 1,1 --budget 11 ball --radius 5", 0, "vertices 11 edges 10 boundary 2\n"),
+    # g = 2 is no node of BS(4,6): the root is 1
+    ("--group 4,6 omega-dist 2 2", 3),
 ]
 
 
@@ -471,6 +476,21 @@ class TestExitCodes:
         code, out, err = invoke(["--group", "2,3", "scale", "t^15000"])
         assert (code, out) == (3, "")
         assert err == f"domain error: answer has more than {sys.get_int_max_str_digits()} digits\n"
+
+    @pytest.mark.parametrize(
+        "argv,answer",
+        [
+            (["trace", "t"], "2\n"),
+            (["orbit", "t"], "3\n"),
+            (["moller", "--kmax", "2", "t"], "2 4 | ratio 2 | scale 2 OK\n"),
+            (["scale-set", "--rho-max", "3"], "1 2 3 4 8 9 27\n"),
+        ],
+        ids=["trace", "orbit", "moller", "scale-set"],
+    )
+    def test_no_digit_limit_before_python_3_10_7(self, argv, answer, monkeypatch):
+        """sys.get_int_max_str_digits first shipped in Python 3.10.7."""
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert invoke(["--group", "2,3"] + argv) == (0, answer, "")
 
     @pytest.mark.parametrize("cmd", ["ball", "census"])
     @pytest.mark.parametrize("radius", ["7000", "60000", "100000"])

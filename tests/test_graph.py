@@ -206,6 +206,15 @@ class TestClassify:
                     nodes = level_nodes(p, level)
                     assert nodes == [classify_node(p, nd.value) for nd in nodes]
 
+    @pytest.mark.parametrize(
+        "p", [GroupParams(4, 6), GroupParams(6, 9), GroupParams(6, 10), GroupParams(-4, 6)]
+    )
+    def test_gcd_itself_is_not_a_node(self, p):
+        # g alpha^0 beta^0 = g: the root is 1, not g
+        assert p.g > 1 and not p.divisor_case
+        with pytest.raises(NotANodeError):
+            classify_node(p, p.g)
+
     @pytest.mark.parametrize("p", [GroupParams(6, 9), GroupParams(-9, 6), GroupParams(12, -18)])
     def test_values_below_gcd_are_not_nodes(self, p):
         for x in range(2, p.g):

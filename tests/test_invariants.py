@@ -1,5 +1,6 @@
 """Scale, modular, flat rank, kernel, orbit orders, structure reports."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -117,6 +118,26 @@ class TestMoller:
         wrong = invariants.ScaleValue(80, 1)
         monkeypatch.setattr(invariants, "_scale_at", lambda p, rho: wrong)
         assert moller_stabilization(P23, w, 8) == (seq, False)
+
+    def test_first_ratio_never_decides_alone(self):
+        """Checking the ratios from k = 2 on gives _indices' verdict (from
+        k = 1) on every sign word of up to 8 letters, in each non-discrete
+        group with |m|, |n| <= 6: a check begun at k = 2 is an equivalent
+        mutant, for every sign word and not only a normalized z's."""
+        signs = [[]]
+        for length in range(1, 9):
+            signs += [list(s) for s in itertools.product((1, -1), repeat=length)]
+        nonzero = [*range(-6, 0), *range(1, 7)]
+        cases = 0
+        for p in (GroupParams(m, n) for m in nonzero for n in nonzero):
+            if p.discrete:
+                continue
+            for s in signs:
+                seq, ok = invariants._indices(p, sum(s), s, 8)
+                target = invariants._scale_at(p, sum(s)).value
+                assert ok == all(b == a * target for a, b in zip(seq[1:], seq[2:])), (p, s)
+                cases += 1
+        assert cases == 120 * 511
 
     @given(groups, words)
     @settings(max_examples=200, deadline=None)

@@ -386,12 +386,12 @@ class TestAgainstLetterLoops:
 
 
 def check_same_error_offset(w):
-    """word_syllables, t_exponent and format_word raise the letter loop's
-    error at its offset, or agree with the letter loops."""
+    """word_syllables, t_exponent, format_word and is_freely_reduced raise
+    the letter loop's error at its offset, or agree with the letter loops."""
     try:
         want = letter_syllables(w)
     except ParseError as exc:
-        for fn in (word_syllables, t_exponent, format_word):
+        for fn in (word_syllables, t_exponent, format_word, is_freely_reduced):
             with pytest.raises(ParseError) as got:
                 fn(w)
             assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
@@ -399,6 +399,7 @@ def check_same_error_offset(w):
         assert word_syllables(w) == want
         assert t_exponent(w) == sum(want[1])
         assert format_word(w) == letter_format(w)
+        assert is_freely_reduced(w) == letter_freely_reduced(w)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +482,12 @@ class TestSyllableConsumers:
                 return super().__contains__(sub)
 
         n = 10**6  # long a runs: a letter search would pay for each letter
-        assert check_traceable(P23, Probe("a" * n + "t" + "a" * n, (n, n), (1,))) == [1]
+        good = Probe("a" * n + "t" + "a" * n, (n, n), (1,))
+        assert check_traceable(P23, good) == [1] and is_freely_reduced(good)
         for bad in (Probe("aAt", (0, 0), (1,)), Probe("tT", (0, 0, 0), (1, -1))):
             with pytest.raises(WordConditionError, match="not freely reduced"):
                 check_traceable(P23, bad)
+            assert not is_freely_reduced(bad)
         assert Probe.searches == 0
 
     @given(groups, words, words)
@@ -707,6 +710,13 @@ class TestParsePaths:
     @example("t\x1c^2")  # a whitespace character that str.split takes
     # an exponent too large to expand, Unicode whitespace, a bad character
     @example("a^" + "1" * 30 + "\u3000x")
+    # texts the split paths do not read: an exponent too large to expand
+    # before non-ASCII whitespace, _ or a bad character, and non-ASCII
+    # whitespace alone
+    @example("a^" + "9" * 20 + "\u3000t")
+    @example("a^" + "9" * 20 + "_")
+    @example("t\u00a0a^2")
+    @example("a^" + "9" * 20 + "x")
     def test_same_as_the_character_loop(self, text):
         want = _parse_outcome(character_loop, text)
         assert _parse_outcome(parse_word, text) == want
