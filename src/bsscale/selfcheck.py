@@ -15,12 +15,15 @@ from .normal_forms import bs1n_matrix, element_normal_form
 from .params import GroupParams
 from .sampling import random_pinch_free_word, random_word
 from .words import (
+    Word,
     conjugacy_normalize_with_certificate,
     equal_elements,
     invert_word,
     is_freely_reduced,
     is_pinch_free,
+    syllables_to_word,
     t_exponent,
+    word_syllables,
 )
 
 CheckResult = tuple[str, bool, str]
@@ -103,12 +106,22 @@ def _conjugacy(rng: Random) -> str | None:
         for _ in range(25):
             w = random_word(rng, max_len=9)
             z, h = conjugacy_normalize_with_certificate(p, w)
-            if not (is_freely_reduced(z + z) and is_pinch_free(p, z + z)):
+            zz = _square(z)
+            if not (zz == z + z and is_freely_reduced(zz) and is_pinch_free(p, zz)):
                 return f"square of {z!r}"
             if t_exponent(z) != t_exponent(w):
                 return f"t-exponent at {w!r}"
             if not equal_elements(p, h + z + invert_word(h), w):
                 return f"certificate at {w!r}"
+
+
+def _square(z: Word) -> Word:
+    """z z, built from z's syllables with the junction run a^(e_k + e_0),
+    so nothing is decoded.  Its letters are z + z exactly when z's two end
+    runs do not have opposite signs, which conjugacy normalization ensures
+    (and ``_conjugacy`` checks)."""
+    exps, signs = word_syllables(z)
+    return syllables_to_word([*exps[:-1], exps[-1] + exps[0], *exps[1:]], signs * 2)
 
 
 def _matrix(rng: Random) -> str | None:

@@ -14,8 +14,9 @@ functions take any letter string and return a ``Word``: a ``str`` of the
 same letters that also stores its syllables, so it compares, hashes,
 slices and serializes as the plain string.  ``word_syllables`` reads a
 ``Word``'s stored form and decodes any other string, once, with bytes
-methods on its ASCII encoding: one split at the t letters, and each a
-run's exponent from a table of short runs (no Python step per letter or
+methods on its ASCII encoding: one delete of every letter that checks
+them, one split at the t letters, one translate to the t signs, and each
+a run's exponent from a table of short runs (no Python step per letter or
 per t letter, and one for an a run only when it is long and new).  A
 word built by this module is therefore never decoded again; the price
 is one extra copy of its letters, made when the ``Word`` is built.
@@ -131,7 +132,7 @@ class Word(str):
     __slots__ = ("_exps", "_signs", "_reduced")
 
     def __new__(cls, letters: str, exps, signs):
-        self = super().__new__(cls, letters)
+        self = str.__new__(cls, letters)  # not super(): one lookup less per word built
         self._exps = tuple(exps)
         self._signs = tuple(signs)
         self._reduced = None
@@ -401,24 +402,22 @@ _RUN_EXPONENTS = _RunExponents()
 
 def _decode_letters(w: str, free: bool = False) -> tuple[list[int], list[int]]:
     """The letter decoder: bytes methods on the ASCII encoding of w do the
-    work per syllable.  One copy with every T made t is split at the t
-    letters, and each a run's exponent is looked up in ``_RUN_EXPONENTS``;
-    the t letters become the signed bytes 1 and -1.  With ``free`` every
-    ``tT`` and ``Tt`` is cut out once first."""
+    work per syllable.  One full delete checks the letters.  With ``free``
+    every ``tT`` and ``Tt`` is then cut out once.  One copy with every T
+    made t is split at the t letters, and each a run's exponent is looked
+    up in ``_RUN_EXPONENTS``; one translate drops the a letters and makes
+    the t letters the signed bytes 1 and -1."""
     try:
         b = w.encode("ascii")
     except UnicodeEncodeError:
         b = b"?"  # a non-ASCII character is never a letter
-    t_letters = b.translate(None, b"aA")
-    if t_letters.translate(None, b"tT"):
+    if b.translate(None, b"aAtT"):
         bad = len(w) - len(w.lstrip("aAtT"))
         raise ParseError(f"invalid letter {w[bad]!r}", bad)
     if free:
-        cut = b.replace(b"tT", b"").replace(b"Tt", b"")
-        if len(cut) < len(b):
-            b, t_letters = cut, cut.translate(None, b"aA")
+        b = b.replace(b"tT", b"").replace(b"Tt", b"")
     exps = list(map(_RUN_EXPONENTS.__getitem__, b.replace(b"T", b"t").split(b"t")))
-    return exps, memoryview(t_letters.translate(_SIGN_BYTES)).cast("b").tolist()
+    return exps, memoryview(b.translate(_SIGN_BYTES, b"aA")).cast("b").tolist()
 
 
 def syllables_to_word(exps: list[int], signs: list[int]) -> Word:

@@ -18,6 +18,7 @@ from bsscale import (
     is_freely_reduced,
     is_pinch_free,
     parse_word,
+    selfcheck,
     t_exponent,
 )
 from bsscale.words import conjugacy_normalize_syllables, word_syllables
@@ -118,6 +119,24 @@ def test_square_reduced_pinch_free_with_certificate(p, w):
     assert is_pinch_free(p, z + z)
     assert t_exponent(z) == t_exponent(w)
     assert equal_elements(p, h + z + invert_word(h), w)
+
+
+# selfcheck builds z z from z's syllables, joining z's end runs into one;
+# its letters are z + z only while those runs never have opposite signs
+nonzero = st.integers(-6, 6).filter(bool)
+
+
+@given(nonzero, nonzero, st.text(alphabet="aAtT", max_size=12))
+@example(2, 4, "aaTtaTaa")  # divisor: z = a^3 T a^2
+@example(3, -3, "AtaaTA")  # discrete: z is w
+@example(1, 3, "ataaTaAt")  # |m| = 1: z = a t a^2
+@example(-1, 2, "ATaTA")
+@settings(max_examples=500, deadline=None)
+def test_square_from_syllables_is_the_letter_square(m, n, w):
+    z = conjugacy_normalize(GroupParams(m, n), w)
+    zz = selfcheck._square(z)
+    assert zz == z + z
+    assert word_syllables(zz) == word_syllables(z + z)
 
 
 @given(groups, words)

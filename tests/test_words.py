@@ -344,6 +344,14 @@ def with_long_runs(test):
     return test
 
 
+def with_decoder_examples(test):
+    """A bad letter after, before and between the t pairs that the free
+    decode cuts out, and pairs that nest."""
+    for w in ("tTx", "xtT", "TtTt_", "aTt\u00e9", "ttTTa"):
+        test = example(w)(test)
+    return test
+
+
 class TestAgainstLetterLoops:
     @given(st.one_of(words, run_words))
     @settings(max_examples=300)
@@ -366,6 +374,7 @@ class TestAgainstLetterLoops:
     # bad letters: ASCII, non-ASCII (a letter, a digit) and whitespace
     @given(st.text(alphabet="aAtTx \t\u00e4\u00b2", max_size=64))
     @settings(max_examples=300)
+    @with_decoder_examples
     def test_same_error_offset(self, w):
         check_same_error_offset(w)
 
@@ -379,19 +388,28 @@ class TestAgainstLetterLoops:
     @given(st.one_of(words, run_words, mixed_runs))
     @settings(max_examples=300)
     @with_long_runs
+    @with_decoder_examples
     def test_free_reduce(self, w):
-        want = letter_free_reduce(w)
-        assert free_reduce(w) == want
-        assert free_reduce_syllables(*letter_syllables(w)) == letter_syllables(want)
+        check_same_error_offset(w)
+        if set(w) <= set(_LETTERS):
+            want = letter_free_reduce(w)
+            assert free_reduce(w) == want
+            assert free_reduce_syllables(*letter_syllables(w)) == letter_syllables(want)
+
+
+def read_free(w):
+    return words_module._read_syllables(w, free=True)
 
 
 def check_same_error_offset(w):
-    """word_syllables, t_exponent, format_word and is_freely_reduced raise
-    the letter loop's error at its offset, or agree with the letter loops."""
+    """word_syllables, t_exponent, format_word, is_freely_reduced, free_reduce
+    and the free decode raise the letter loop's error at its offset, or
+    agree with the letter loops."""
     try:
         want = letter_syllables(w)
     except ParseError as exc:
-        for fn in (word_syllables, t_exponent, format_word, is_freely_reduced):
+        for fn in (word_syllables, t_exponent, format_word, is_freely_reduced, free_reduce,
+                   read_free):
             with pytest.raises(ParseError) as got:
                 fn(w)
             assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
@@ -400,6 +418,7 @@ def check_same_error_offset(w):
         assert t_exponent(w) == sum(want[1])
         assert format_word(w) == letter_format(w)
         assert is_freely_reduced(w) == letter_freely_reduced(w)
+        assert free_reduce_syllables(*read_free(w)) == letter_syllables(letter_free_reduce(w))
 
 
 # ---------------------------------------------------------------------------
